@@ -45,6 +45,7 @@ import json
 import os
 import pickle
 import time
+import weakref
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
@@ -282,19 +283,28 @@ def parallel_map(fn, argument_tuples, jobs=None):
 # ----------------------------------------------------------------------
 # Batched fan-out (lockstep lanes instead of processes)
 # ----------------------------------------------------------------------
+#: program -> its fingerprint; a compiled program is never mutated (the
+#: simulators' per-program codegen cache assumes the same)
+_FINGERPRINTS = weakref.WeakKeyDictionary()
+
+
 def program_fingerprint(program):
     """Content hash of a compiled program: the formatted instruction
     stream plus function entries — what determines whether two tasks can
     share one lockstep batch.  Deterministic compiles of the same module
     under the same strategy fingerprint identically, so campaign tasks
-    group even when each built its program independently."""
-    import hashlib
+    group even when each built its program independently.  Computed
+    once per program object."""
+    fingerprint = _FINGERPRINTS.get(program)
+    if fingerprint is None:
+        import hashlib
 
-    digest = hashlib.sha256()
-    for instruction in program.instructions:
-        digest.update(repr(instruction).encode())
-    digest.update(repr(sorted(program.function_entries.items())).encode())
-    return digest.hexdigest()
+        digest = hashlib.sha256()
+        for instruction in program.instructions:
+            digest.update(repr(instruction).encode())
+        digest.update(repr(sorted(program.function_entries.items())).encode())
+        fingerprint = _FINGERPRINTS[program] = digest.hexdigest()
+    return fingerprint
 
 
 class BatchTaskResult:
@@ -337,6 +347,12 @@ def batch_map(tasks, lanes=64, backend="batch", observe=NULL_RECORDER):
     run one simulator per instance instead — bit-identical by the batch
     backend's contract, which is what the speedup benchmark and the
     differential tests compare against.
+
+    A slab stays in lockstep only while its lanes agree; one that
+    diverges reruns per lane on scalar ``jit``
+    (:meth:`~repro.sim.batchsim.BatchSimulator.run_batch`).  *observe*
+    counts ``batch.groups``, ``batch.slabs``, ``batch.instances`` and
+    ``batch.fallbacks`` (slabs that left lockstep).
     """
     from repro.sim.fastsim import make_simulator
 
@@ -360,12 +376,8 @@ def batch_map(tasks, lanes=64, backend="batch", observe=NULL_RECORDER):
     from repro.sim.batchsim import BatchSimulator
 
     groups = {}
-    fingerprints = {}
     for index, (program, _writes, _reads) in enumerate(tasks):
-        fingerprint = fingerprints.get(id(program))
-        if fingerprint is None:
-            fingerprint = program_fingerprint(program)
-            fingerprints[id(program)] = fingerprint
+        fingerprint = program_fingerprint(program)
         groups.setdefault(fingerprint, (program, []))[1].append(index)
     observe.counter("batch.groups", len(groups))
     for program, members in groups.values():
@@ -377,7 +389,9 @@ def batch_map(tasks, lanes=64, backend="batch", observe=NULL_RECORDER):
             for lane, index in enumerate(slab):
                 for name, values in tasks[index][1].items():
                     simulator.write_global_lane(lane, name, values)
-            for lane, outcome in enumerate(simulator.run_batch()):
+            outcomes = simulator.run_batch()
+            observe.counter("batch.fallbacks", int(simulator.fell_back))
+            for lane, outcome in enumerate(outcomes):
                 index = slab[lane]
                 reads = tasks[index][2]
                 if outcome.error is not None:

@@ -29,32 +29,29 @@ model:
   which returns genuine Python objects, so ``np.float64`` never leaks
   into scalar state (it would survive ``==`` but break digests).
 
-Divergence protocol (peel-off / rejoin): control flow must stay uniform
-inside a lane group.  Control inputs — branch conditions, loop trip
-counts, effective addresses, return addresses, operands of non-inlined
-evaluators — are guarded: a uniform vector collapses back to a scalar,
-a truly divergent one raises :class:`_LaneSplit` *during the read
-phase*, before anything commits.  The dispatcher rolls the cycle and
-pc count back, partitions the lanes by the offending value, slices the
-group into child groups (a single-lane child collapses to all-scalar
-state, i.e. the "peel" is the same step table running at scalar
-types), and re-dispatches the same instruction in each child, where
-the guard now collapses.  While several groups are in flight the
-dispatcher advances them one instruction per round, so groups that
-reach the same pc with equal cycle count, loop/call stacks, and lock
-state — balanced branch arms meeting at the superblock join — are
-coalesced back into one vectorized group.  Lanes with an interrupt
-hook never enter lockstep at all: each runs on its own scalar
-:class:`~repro.sim.loopjit.LoopJitSimulator` seeded with that lane's
-initial state (fault-arming and cadence-mismatched lanes take this
-path), which keeps hook visibility bit-exact by construction.
+Divergence protocol (lockstep or fall back): a slab runs in lockstep
+only while its lanes agree.  Control inputs — branch conditions, loop
+trip counts, effective addresses, return addresses, operands of
+non-inlined evaluators — are guarded: a uniform vector collapses back
+to a scalar, a truly divergent one raises :class:`_LaneSplit`.  On the
+first split (or on a raw Python fault, which may belong to one lane)
+:meth:`BatchSimulator.run_batch` abandons the lockstep run and reruns
+every lane of the slab from its initial state on its own scalar
+:class:`~repro.sim.loopjit.LoopJitSimulator`, all sharing the
+program's cached jit code.  A lane's initial state is rebuilt by
+replaying the writes that reached it, in arrival order, onto a fresh
+simulator with the same construction knobs; writes are the only way a
+lane's state changes before the run.  A slab with an interrupt hook
+on any lane (fault-arming and cadence lanes) takes the same per-lane
+path up front, which keeps hook visibility bit-exact by construction.
 
-Cycle and pc-count accounting across splits and merges: every group
-counts from zero; when a group is split, merged, or retired its counts
-are folded into per-lane accumulators, so a lane's final ``pc_counts``
-is the sum over the chain of groups it travelled through.  Cycle
-counts stay uniform within a group (control is uniform), so the
-group's ``cycle`` field is exact for all its lanes.
+The regime, measured on the end-to-end lane sweep (``e2ebench/``: 3
+uniform kernels x 128 lanes, 24 branchy fuzz recipes x 8 lanes):
+lockstep is about 4x faster than per-instance jit when control is
+uniform, and a divergent slab costs per-lane jit plus one lockstep
+set-up and prefix, 1.1-1.4x of jit on those short 8-lane slabs.  A
+lockstep run that finishes never split, so its cycle count and per-pc
+counts are exact for every lane.
 """
 
 import numpy as np
@@ -70,6 +67,7 @@ from repro.sim.fastsim import (
 )
 from repro.sim.loopjit import LoopJitSimulator
 from repro.sim.simulator import (
+    CycleLimitError,
     SimulationError,
     SimulationResult,
     Simulator,
@@ -81,31 +79,27 @@ _ndarray = np.ndarray
 
 
 class _LaneSplit(Exception):
-    """Lanes disagreed on a control input; carries the per-lane values.
+    """Lanes disagreed on a control input.
 
-    Deliberately *not* a :class:`SimulationError`: this is a dispatcher
-    signal, never a machine fault, and must not be annotated or
-    reported.  Raised only during an instruction's read phase, so the
-    dispatcher can rewind the cycle accounting and re-execute the
-    instruction in the split-off groups.
+    Deliberately *not* a :class:`SimulationError`: this is the signal
+    that ends a lockstep run, never a machine fault, and must not be
+    annotated or reported.  :meth:`BatchSimulator.run_batch` catches it
+    and reruns the slab per lane.
     """
-
-    def __init__(self, vector):
-        self.vector = vector
 
 
 def _collapse(vector):
     """Uniform vector -> its scalar value; divergent -> :class:`_LaneSplit`.
 
     ``item()`` (not ``[0]``) so floats come back as Python floats, ints
-    as Python ints.  An all-NaN vector never collapses (NaN != NaN) and
-    splits down to single lanes, which run at scalar types — the exact
-    per-lane semantics, just slower.
+    as Python ints.  An all-NaN vector never collapses (NaN != NaN), so
+    its slab falls back to per-lane scalar runs — the exact per-lane
+    semantics, just slower.
     """
     first = vector.item(0)
     if (vector == first).all():
         return first
-    raise _LaneSplit(vector)
+    raise _LaneSplit()
 
 
 def _ceq(a, b):
@@ -292,7 +286,7 @@ class LaneOutcome:
 
 
 class _LaneView:
-    """Scalar projection of one lane of a finished multi-lane group.
+    """Scalar projection of one lane of a finished multi-lane run.
 
     ``read_global`` extracts just the requested cells; the full
     ``memory`` / ``registers`` projections (and therefore
@@ -372,10 +366,17 @@ class BatchSimulator(FastSimulator):
     def __init__(self, program, lanes=1, **kwargs):
         if lanes < 1:
             raise ValueError("lanes must be >= 1, got %d" % lanes)
+        # the base constructor writes the initializers; a fresh lane
+        # simulator writes its own, so they are not logged
+        self._writes = None
         super().__init__(program, **kwargs)
         self.lanes = lanes
-        self.lane_ids = list(range(lanes))
         self._lane_hooks = {}
+        #: every input write in arrival order: (lane or None for all
+        #: lanes, global name, values) — replayed by _lane_simulator
+        self._writes = []
+        #: whether the last run_batch left lockstep for per-lane runs
+        self.fell_back = False
 
     # ------------------------------------------------------------------
     # Codegen hooks (see fastsim)
@@ -400,9 +401,8 @@ class BatchSimulator(FastSimulator):
         return super()._fallback_expr(info, guarded, cb)
 
     def _do_ret(self):
-        # Peek the return-address cell before super() mutates sp and the
-        # call stack: a divergent return address must split with the
-        # machine state untouched.
+        # Collapse the return-address cell before super() reads it: a
+        # divergent return address must split, not jump.
         if len(self.call_stack) > 1:
             frame = self.call_stack[-1][1]
             slot = self.sp[_BANK_X] + frame.size_x
@@ -417,13 +417,18 @@ class BatchSimulator(FastSimulator):
     def set_lane_hook(self, lane, hook):
         """Install an interrupt hook for one lane.
 
-        Hooked lanes are peeled to a scalar jit simulator by
-        :meth:`run_batch` (hook delivery is inherently per-instance),
-        while the remaining lanes run in lockstep.
+        Hook delivery is inherently per-instance, so a slab with any
+        hooked lane runs every lane on its own scalar jit simulator.
         """
         if not 0 <= lane < self.lanes:
             raise ValueError("lane %d out of range" % lane)
         self._lane_hooks[lane] = hook
+
+    def write_global(self, name, values):
+        """Write *name* in every lane (see :meth:`Simulator.write_global`)."""
+        super().write_global(name, values)
+        if self._writes is not None:
+            self._log(None, name, values)
 
     def write_global_lane(self, lane, name, values):
         """Per-lane :meth:`write_global`: set one lane's copy of *name*.
@@ -467,6 +472,7 @@ class BatchSimulator(FastSimulator):
                     cell = widened
                     memory[address] = cell
                 cell[lane] = value
+        self._log(lane, name, values)
 
     def write_global_lanes(self, name, rows):
         """Write a different value set into every lane: ``rows[lane]``."""
@@ -477,6 +483,11 @@ class BatchSimulator(FastSimulator):
         for lane, values in enumerate(rows):
             self.write_global_lane(lane, name, values)
 
+    def _log(self, lane, name, values):
+        if isinstance(values, (list, tuple)):
+            values = list(values)  # the caller may reuse its buffer
+        self._writes.append((lane, name, values))
+
     def _broadcast(self, current, incoming):
         if type(current) is float and type(incoming) is float:
             return np.full(self.lanes, current)
@@ -485,9 +496,12 @@ class BatchSimulator(FastSimulator):
         return cell
 
     # ------------------------------------------------------------------
-    # Peeling (hooked lanes run on the scalar jit path)
+    # Per-lane scalar runs (hooked lanes, divergent slabs)
     # ------------------------------------------------------------------
-    def _peel(self, lane, hook):
+    def _lane_simulator(self, lane, hook=None):
+        """A scalar jit simulator in *lane*'s initial state: a fresh
+        instance with this one's construction knobs, replaying the writes
+        that reached the lane in the order they arrived."""
         peer = LoopJitSimulator(
             self.program,
             stack_words=self.stack_words,
@@ -495,16 +509,20 @@ class BatchSimulator(FastSimulator):
             interrupt_hook=hook,
             check_bounds=self.check_bounds,
         )
-        for bank in (_BANK_X, _BANK_Y):
-            source = self.memory[bank]
-            target = peer.memory[bank]
-            for address, cell in enumerate(source):
-                target[address] = _lane_scalar(cell, lane)
-        for rclass, rfile in self.registers.items():
-            target = peer.registers[rclass]
-            for index, cell in enumerate(rfile):
-                target[index] = _lane_scalar(cell, lane)
+        for owner, name, values in self._writes:
+            if owner is None or owner == lane:
+                peer.write_global(name, values)
         return peer
+
+    def _run_lane(self, lane, hook):
+        peer = self._lane_simulator(lane, hook)
+        outcome = LaneOutcome(lane)
+        try:
+            outcome.result = peer.run()
+        except Exception as error:
+            outcome.error = error
+        outcome.state = peer
+        return outcome
 
     def _adopt_state(self, peer):
         self.memory = peer.memory
@@ -521,147 +539,23 @@ class BatchSimulator(FastSimulator):
         self.pc_counts = peer.pc_counts
 
     # ------------------------------------------------------------------
-    # Group management
+    # Lockstep execution
     # ------------------------------------------------------------------
-    def _shell(self, lane_ids):
-        """A new group sharing this one's program and uniform state."""
-        twin = object.__new__(type(self))
-        twin.program = self.program
-        twin.stack_words = self.stack_words
-        twin.max_cycles = self.max_cycles
-        twin.interrupt_hook = None
-        twin.check_bounds = self.check_bounds
-        twin.data_size = self.data_size
-        twin.mem_top = self.mem_top
-        twin.lanes = len(lane_ids)
-        twin.lane_ids = lane_ids
-        twin._lane_hooks = {}
-        twin.sp = list(self.sp)
-        twin.sp_min = list(self.sp_min)
-        twin.pc = self.pc
-        twin.cycle = self.cycle
-        twin.op_count = 0
-        twin.halted = self.halted
-        twin.locked = self.locked
-        twin.loop_stack = [list(record) for record in self.loop_stack]
-        twin.call_stack = list(self.call_stack)
-        twin.pc_counts = [0] * len(self.program.instructions)
-        twin._decoded = self._decoded
-        twin._steps = None
-        twin._blocks = None
-        twin._block_lens = None
-        twin._block_members = None
-        twin._op_widths = list(self._op_widths)
-        twin._loop_end_pcs = self._loop_end_pcs
-        return twin
+    def _advance(self):
+        """Run every lane from ``main`` to halt or fault.
 
-    def _slice_group(self, positions):
-        """Child group holding the given vector positions of this one.
-
-        A single-position child collapses every vector cell to its
-        scalar value — the peeled lane then runs the same step table on
-        pure scalar state.
+        Returns None on halt and the fault otherwise; a divergent
+        control input raises :class:`_LaneSplit` mid-instruction.
         """
-        child = self._shell([self.lane_ids[p] for p in positions])
-        if len(positions) > 1:
-            take = np.array(positions)
-            position = None
-        else:
-            take = None
-            position = positions[0]
-
-        def cut(cell):
-            if cell.__class__ is not _ndarray:
-                return cell
-            if take is None:
-                return cell.item(position)
-            return cell[take]
-
-        child.memory = [[cut(cell) for cell in bank] for bank in self.memory]
-        child.registers = {
-            rclass: [cut(cell) for cell in rfile]
-            for rclass, rfile in self.registers.items()
-        }
-        return child
-
-    @staticmethod
-    def _join_cells(cells, sizes, total):
-        first = cells[0]
-        if first.__class__ is not _ndarray and all(
-            cell is first for cell in cells
-        ):
-            return first
-        values = []
-        for cell, size in zip(cells, sizes):
-            if cell.__class__ is _ndarray:
-                values.extend(cell.tolist())
-            else:
-                values.extend([cell] * size)
-        head = values[0]
-        if head == head and all(
-            type(v) is type(head) and v == head for v in values[1:]
-        ):
-            return head
-        if all(type(v) is float for v in values):
-            return np.array(values, dtype=np.float64)
-        out = np.empty(total, dtype=object)
-        for i, v in enumerate(values):
-            out[i] = v
-        return out
-
-    def _merge_groups(self, peers):
-        base = peers[0]
-        lane_ids = [lane for peer in peers for lane in peer.lane_ids]
-        merged = base._shell(lane_ids)
-        sizes = [peer.lanes for peer in peers]
-        total = merged.lanes
-        merged.memory = [
-            [
-                self._join_cells(
-                    [peer.memory[bank][address] for peer in peers],
-                    sizes,
-                    total,
-                )
-                for address in range(len(base.memory[bank]))
-            ]
-            for bank in (_BANK_X, _BANK_Y)
-        ]
-        merged.registers = {
-            rclass: [
-                self._join_cells(
-                    [peer.registers[rclass][index] for peer in peers],
-                    sizes,
-                    total,
-                )
-                for index in range(len(rfile))
-            ]
-            for rclass, rfile in base.registers.items()
-        }
-        return merged
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    def _ensure_steps(self):
         if self._steps is None:
             self._compile_steps()
-
-    def _advance(self, budget=None):
-        """Run this group until halt, fault, or lane split.
-
-        With *budget*, stop after that many instructions and report
-        ``("run", None)`` — the round-lockstep mode the dispatcher uses
-        while several groups are in flight, so balanced divergent arms
-        stay cycle-aligned and can rejoin.
-        """
-        self._ensure_steps()
+        self._enter_main()
         steps = self._steps
         count = len(self.program.instructions)
         pc_counts = self.pc_counts
         max_cycles = self.max_cycles
         cycle = self.cycle
         pc = self.pc
-        remaining = budget
         try:
             while True:
                 if pc < 0 or pc >= count:
@@ -670,121 +564,29 @@ class BatchSimulator(FastSimulator):
                 cycle += 1
                 self.cycle = cycle
                 if cycle > max_cycles:
-                    from repro.sim.simulator import CycleLimitError
-
                     raise CycleLimitError(
                         "exceeded max_cycles=%d" % max_cycles
                     )
                 self.pc = pc
-                try:
-                    next_pc = steps[pc]()
-                except _LaneSplit as split:
-                    # the split fired in the read phase: nothing has
-                    # committed, so rewind the accounting and let the
-                    # dispatcher re-execute in the child groups.
-                    pc_counts[pc] -= 1
-                    cycle -= 1
-                    self.cycle = cycle
-                    return ("split", split.vector)
+                next_pc = steps[pc]()
                 if next_pc is None:
                     self.locked = False
-                    return ("halt", None)
+                    return None
                 pc = next_pc
-                if remaining is not None:
-                    remaining -= 1
-                    if remaining <= 0:
-                        self.pc = pc
-                        return ("run", None)
+        except _LaneSplit:
+            raise  # not a fault: run_batch falls back
         except SimulationError as fault:
             self.pc = pc
             self.cycle = cycle
             self.locked = False
             self._annotate_fault(fault)
-            return ("fault", fault)
+            return fault
         except Exception as fault:  # noqa: BLE001 — raw machine faults
             # Non-simulation Python faults (ZeroDivisionError from FDIV,
             # negative shifts, ...) propagate unannotated from the
-            # scalar backends; report them per group the same way.
-            return ("fault", fault)
+            # scalar backends; report them the same way.
+            return fault
 
-    def _fold_counts(self, group, carry):
-        counts = group.pc_counts
-        for lane in group.lane_ids:
-            acc = carry.get(lane)
-            if acc is None:
-                carry[lane] = list(counts)
-            else:
-                for index, value in enumerate(counts):
-                    if value:
-                        acc[index] += value
-
-    def _split_group(self, group, vector, carry):
-        self._fold_counts(group, carry)
-        buckets = {}
-        for position in range(group.lanes):
-            buckets.setdefault(vector.item(position), []).append(position)
-        return [
-            group._slice_group(positions) for positions in buckets.values()
-        ]
-
-    def _rejoin_key(self, group):
-        return (
-            group.pc,
-            group.cycle,
-            group.locked,
-            tuple(group.sp),
-            tuple(group.sp_min),
-            tuple(tuple(record) for record in group.loop_stack),
-            tuple((name, id(frame)) for name, frame in group.call_stack),
-        )
-
-    def _coalesce(self, groups, carry):
-        if len(groups) < 2:
-            return groups
-        merged = {}
-        for group in groups:
-            merged.setdefault(self._rejoin_key(group), []).append(group)
-        out = []
-        for peers in merged.values():
-            if len(peers) == 1:
-                out.append(peers[0])
-            else:
-                for peer in peers:
-                    self._fold_counts(peer, carry)
-                out.append(self._merge_groups(peers))
-        return out
-
-    def _dispatch(self, groups, carry):
-        """Drive lane groups to completion; returns ``[(group, error)]``."""
-        finished = []
-        while groups:
-            if len(groups) == 1:
-                group = groups.pop()
-                status, payload = group._advance()
-                if status == "split":
-                    groups.extend(self._split_group(group, payload, carry))
-                else:
-                    self._fold_counts(group, carry)
-                    finished.append((group, payload))
-                continue
-            advancing = []
-            for group in groups:
-                status, payload = group._advance(budget=1)
-                if status == "run":
-                    advancing.append(group)
-                elif status == "split":
-                    advancing.extend(
-                        self._split_group(group, payload, carry)
-                    )
-                else:
-                    self._fold_counts(group, carry)
-                    finished.append((group, payload))
-            groups = self._coalesce(advancing, carry)
-        return finished
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def _settle_ops(self):
         widths = self._op_widths
         self.op_count = sum(
@@ -793,11 +595,11 @@ class BatchSimulator(FastSimulator):
             if executed
         )
 
-    def _result(self):
+    def _result(self, pc_counts):
         return SimulationResult(
             self.cycle,
             self.op_count,
-            self.pc_counts,
+            pc_counts,
             self.mem_top[_BANK_X] - self.sp_min[_BANK_X],
             self.mem_top[_BANK_Y] - self.sp_min[_BANK_Y],
         )
@@ -817,82 +619,59 @@ class BatchSimulator(FastSimulator):
         hook = self._lane_hooks.get(0, self.interrupt_hook)
         if hook is not None:
             # hook delivery is per-instance by nature: run on the scalar
-            # jit path against this simulator's initial state, then
-            # mirror the final state back.
-            peer = self._peel(0, hook)
+            # jit path from this simulator's initial state, then mirror
+            # the final state back.
+            peer = self._lane_simulator(0, hook)
             try:
                 return peer.run()
             finally:
                 self._adopt_state(peer)
-        self._ensure_steps()
-        self._enter_main()
-        status, payload = self._advance()
-        if status == "fault":
-            if isinstance(payload, SimulationError):
+        fault = self._advance()
+        if fault is not None:
+            if isinstance(fault, SimulationError):
                 self._settle_ops()
-            raise payload
+            raise fault
         self._settle_ops()
-        return self._result()
+        return self._result(self.pc_counts)
 
     def run_batch(self):
-        """Run every lane; returns one :class:`LaneOutcome` per lane."""
-        lanes = self.lanes
-        outcomes = [None] * lanes
-        base_hook = self.interrupt_hook
-        peeled = {}
-        for lane in range(lanes):
-            hook = self._lane_hooks.get(lane, base_hook)
-            if hook is not None:
-                peeled[lane] = hook
-        for lane, hook in peeled.items():
-            peer = self._peel(lane, hook)
-            outcome = LaneOutcome(lane)
+        """Run every lane; returns one :class:`LaneOutcome` per lane.
+
+        The lanes run in lockstep while they agree.  On the first
+        divergent control input, on a raw Python fault (which may be
+        one lane's alone), or when any lane has an interrupt hook, every
+        lane instead runs on its own scalar jit simulator from its
+        initial state, and :attr:`fell_back` is set.  A
+        :class:`SimulationError` in lockstep is uniform by construction
+        (its inputs passed the guards) and is every lane's outcome.
+        """
+        hooks = [
+            self._lane_hooks.get(lane, self.interrupt_hook)
+            for lane in range(self.lanes)
+        ]
+        fault = None
+        self.fell_back = any(hook is not None for hook in hooks)
+        if not self.fell_back:
             try:
-                outcome.result = peer.run()
-            except Exception as error:
-                outcome.error = error
-            outcome.state = peer
-            outcomes[lane] = outcome
-        rest = [lane for lane in range(lanes) if lane not in peeled]
-        if not rest:
-            return outcomes
-        if len(rest) == lanes:
-            root = self
-        else:
-            root = self._slice_group(rest)
-        root._ensure_steps()
-        root._enter_main()
-        carry = {}
-        finished = self._dispatch([root], carry)
-        widths = root._op_widths
-        for group, error in finished:
-            for position, lane in enumerate(group.lane_ids):
-                outcome = LaneOutcome(lane)
-                counts = carry[lane]
-                if error is None:
-                    operations = sum(
-                        executed * widths[index]
-                        for index, executed in enumerate(counts)
-                        if executed
-                    )
-                    outcome.result = SimulationResult(
-                        group.cycle,
-                        operations,
-                        counts,
-                        self.mem_top[_BANK_X] - group.sp_min[_BANK_X],
-                        self.mem_top[_BANK_Y] - group.sp_min[_BANK_Y],
-                    )
-                else:
-                    outcome.error = error
-                if group.lanes == 1:
-                    group.pc_counts = counts
-                    group.op_count = (
-                        outcome.result.operations if error is None else 0
-                    )
-                    outcome.state = group
-                else:
-                    outcome.state = _LaneView(group, position)
-                outcomes[lane] = outcome
+                fault = self._advance()
+            except _LaneSplit:
+                self.fell_back = True
+            else:
+                self.fell_back = self.lanes > 1 and not (
+                    fault is None or isinstance(fault, SimulationError)
+                )
+        if self.fell_back:
+            return [self._run_lane(lane, hook) for lane, hook in enumerate(hooks)]
+        self._settle_ops()
+        outcomes = []
+        for lane in range(self.lanes):
+            outcome = LaneOutcome(lane)
+            if fault is None:
+                outcome.result = self._result(list(self.pc_counts))
+            else:
+                outcome.error = fault
+            outcome.state = self if self.lanes == 1 else _LaneView(self, lane)
+            outcomes.append(outcome)
         return outcomes
 
 

@@ -20,6 +20,7 @@ from repro.obs.core import Recorder
 from repro.partition.strategies import Strategy
 from repro.workloads.kernels.fir import Fir
 from repro.workloads.kernels.iir import Iir
+from repro.workloads.registry import get_workload
 
 
 def _fir_program(taps=8, samples=4, strategy=Strategy.CB):
@@ -108,3 +109,63 @@ def test_scalar_writes_and_empty_reads():
     program = _fir_program()
     results = batch_map([(program, None, ())] * 3, lanes=2)
     assert all(r.error is None and r.outputs == {} for r in results)
+
+
+def _recipe_tasks(seed, instances):
+    """*instances* tasks of one fuzz recipe, each with its own arrays
+    (values straddling the recipe's branch thresholds), reading back
+    every global."""
+    from repro.fuzz.generator import build_module, generate_recipe
+
+    program = compile_module(
+        build_module(generate_recipe(seed)), strategy=Strategy.CB
+    ).program
+    symbols = list(program.module.globals)
+    reads = tuple(symbol.name for symbol in symbols)
+    rng = random.Random(seed)
+    return [
+        (
+            program,
+            {
+                symbol.name: [rng.randint(0, 9) * 0.5 for _ in range(symbol.size)]
+                for symbol in symbols
+                if symbol.name.startswith("arr")
+            },
+            reads,
+        )
+        for _ in range(instances)
+    ]
+
+
+def test_divergent_slab_falls_back_to_per_lane_runs():
+    """Recipe 41 splits its lanes early; the slab leaves lockstep once
+    and every lane still matches its own reference run exactly."""
+    tasks = _recipe_tasks(41, 32)
+    recorder = Recorder()
+    batched = batch_map(tasks, lanes=32, observe=recorder)
+    reference = batch_map(tasks, backend="interp")
+    assert recorder.counters["batch.slabs"] == 1
+    assert recorder.counters["batch.fallbacks"] == 1
+    for index, (got, want) in enumerate(zip(batched, reference)):
+        assert (got.error is None) == (want.error is None), index
+        if want.error is not None:
+            assert type(got.error) is type(want.error), index
+            assert str(got.error) == str(want.error), index
+            continue
+        assert got.result.cycles == want.result.cycles, index
+        assert got.result.operations == want.result.operations, index
+        assert got.result.pc_counts == want.result.pc_counts, index
+        assert repr(got.outputs) == repr(want.outputs), index
+    # the lanes really diverged: they did not all run the same path
+    assert len({tuple(r.result.pc_counts) for r in reference}) > 1
+
+
+def test_uniform_slab_stays_in_lockstep():
+    program = compile_module(
+        get_workload("fir_32_1").build(), strategy=Strategy.CB
+    ).program
+    recorder = Recorder()
+    results = batch_map([(program, {}, ("y",))] * 8, observe=recorder)
+    assert recorder.counters["batch.fallbacks"] == 0
+    assert all(r.error is None for r in results)
+    assert len({repr(r.outputs) for r in results}) == 1

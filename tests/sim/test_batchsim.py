@@ -6,9 +6,11 @@ backend reaches for the same program and the same per-instance inputs —
 cycles, operation totals, per-pc counts, memory, register files, and
 the full architectural digest.  The interesting cases are the ones the
 lockstep model has to work for: lanes that agree everywhere (pure
-vector execution), lanes that diverge on data-dependent branches
-(split/peel/rejoin), lanes that fault, and lanes that arm interrupt or
-fault-injection hooks (peeled wholesale to the scalar jit path).
+vector execution, the slab stays in lockstep), lanes that diverge on
+data-dependent branches or fault alone (the slab falls back and every
+lane reruns from its initial state on its own scalar jit simulator),
+and lanes that arm interrupt or fault-injection hooks (per-lane jit by
+construction).
 """
 
 import random
@@ -21,6 +23,7 @@ from repro.fuzz.generator import Recipe, build_module, generate_recipe
 from repro.partition.strategies import Strategy
 from repro.sim.batchsim import BatchSimulator
 from repro.sim.fastsim import BACKENDS, make_simulator
+from repro.sim.interrupts import InterruptInjector
 from repro.sim.simulator import SimulationError, Simulator
 from repro.workloads.kernels.fir import Fir
 from repro.workloads.registry import get_workload
@@ -85,11 +88,12 @@ def test_run_refuses_multi_lane():
 
 
 def test_uniform_lanes_stay_locked_and_match():
-    """Identical inputs: one lockstep group end to end, no splitting."""
+    """Identical inputs: one lockstep run end to end, no fallback."""
     compiled = compile_module(Fir(8, 4).build(), strategy=Strategy.FULL_DUP)
     lanes = 5
     batch = BatchSimulator(compiled.program, lanes=lanes)
     outcomes = batch.run_batch()
+    assert not batch.fell_back
     simulator, result, error = _lane_reference(compiled.program, {})
     assert error is None
     for outcome in outcomes:
@@ -133,6 +137,8 @@ def _branchy_module():
 
 
 def test_divergent_branches_split_and_match():
+    """Lanes taking different branch arms leave lockstep; each lane's
+    per-lane rerun matches its own jit run."""
     compiled = compile_module(_branchy_module(), strategy=Strategy.CB)
     lanes = 6
     rows = [[0.5] * 8 for _ in range(lanes)]
@@ -141,6 +147,7 @@ def test_divergent_branches_split_and_match():
     batch = BatchSimulator(compiled.program, lanes=lanes)
     batch.write_global_lanes("data", rows)
     outcomes = batch.run_batch()
+    assert batch.fell_back
     for lane in range(lanes):
         reference = _lane_reference(compiled.program, {"data": rows[lane]})
         _assert_lane_matches(outcomes[lane], *reference, "lane %d" % lane)
@@ -206,9 +213,10 @@ def test_fuzz_recipes_with_varying_lanes_match_jit():
 
 
 def test_divergence_and_fault_arming_lanes_match_jit_bit_for_bit():
-    """The issue's rejoin scenario: of N instances of one fuzz-grammar
-    recipe, exactly one takes a different branch and one arms a fault
-    plan; all N final states must equal per-instance jit runs."""
+    """Mixed fallback: of N instances of one fuzz-grammar recipe,
+    exactly one takes a different branch and one arms a fault plan, so
+    the slab runs per lane from each lane's initial state; all N final
+    states must equal per-instance jit runs."""
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import generate_plan
 
@@ -258,10 +266,8 @@ def test_divergence_and_fault_arming_lanes_match_jit_bit_for_bit():
 
 
 def test_interrupt_cadence_lane_peels_and_matches():
-    """A lane with an interrupt cadence runs peeled on the jit path and
-    still matches a scalar hooked run exactly."""
-    from repro.sim.interrupts import InterruptInjector
-
+    """A lane with an interrupt cadence sends the slab to per-lane jit
+    and still matches a scalar hooked run exactly."""
     recipe = generate_recipe(2)
     module = build_module(recipe)
     compiled = compile_module(module, strategy=Strategy.CB_DUP)
@@ -326,3 +332,48 @@ def test_out_of_bounds_faults_per_lane():
     assert "out of bounds" in str(outcomes[1].error)
     reference = _lane_reference(compiled.program, {"sel": 9})
     assert str(outcomes[1].error) == str(reference[2])
+
+
+def test_one_lane_raw_fault_stays_that_lanes():
+    """A raw Python fault raised by one lane's data (int(NaN) in FTOI)
+    falls back, so only that lane reports it."""
+    pb = ProgramBuilder("ftoi")
+    data = pb.global_array("data", 2, float, init=[2.5, 1.0])
+    out = pb.global_scalar("out", int)
+    with pb.function("main") as f:
+        n = f.int_var("n")
+        f.assign(n, data[0] * data[1])
+        f.assign(out[0], n)
+    compiled = compile_module(pb.build(), strategy=Strategy.SINGLE_BANK)
+    lanes = 3
+    batch = BatchSimulator(compiled.program, lanes=lanes)
+    batch.write_global_lane(1, "data", [float("nan"), 1.0])
+    outcomes = batch.run_batch()
+    assert batch.fell_back
+    for lane in range(lanes):
+        writes = {"data": [float("nan"), 1.0]} if lane == 1 else {}
+        reference = _lane_reference(compiled.program, writes)
+        _assert_lane_matches(outcomes[lane], *reference, "lane %d" % lane)
+    assert isinstance(outcomes[1].error, ValueError)
+    assert outcomes[0].state.read_global("out") == 2
+
+
+def test_per_lane_runs_replay_writes_in_arrival_order():
+    """An all-lanes write_global between per-lane writes overrides the
+    earlier ones in every lane's rerun, exactly as in lockstep."""
+    compiled = compile_module(Fir(4, 2).build(), strategy=Strategy.CB)
+    lanes = 3
+    batch = BatchSimulator(compiled.program, lanes=lanes)
+    batch.write_global_lane(0, "x", [9.0] * 5)
+    batch.write_global("x", [1.0, 2.0, 3.0, 4.0, 5.0])
+    batch.write_global_lane(2, "x", [0.5, 0.25])
+    batch.set_lane_hook(1, InterruptInjector(compiled.program.module, period=3))
+    outcomes = batch.run_batch()
+    assert batch.fell_back
+    rows = [[1.0, 2.0, 3.0, 4.0, 5.0]] * 2 + [[0.5, 0.25, 3.0, 4.0, 5.0]]
+    for lane in range(lanes):
+        hook = None
+        if lane == 1:
+            hook = InterruptInjector(compiled.program.module, period=3)
+        reference = _lane_reference(compiled.program, {"x": rows[lane]}, hook=hook)
+        _assert_lane_matches(outcomes[lane], *reference, "lane %d" % lane)

@@ -27,7 +27,7 @@ def _assert_hook_path(sim):
     from repro.sim.batchsim import BatchSimulator
 
     if isinstance(sim, BatchSimulator):
-        # hooked batch lanes peel to the scalar jit path; the lockstep
+        # hooked batch lanes run on the scalar jit path; the lockstep
         # step table must stay cold
         assert sim._steps is None, "hooked batch lane entered lockstep"
         return
