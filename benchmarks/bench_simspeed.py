@@ -47,8 +47,8 @@ from repro.compiler import compile_module
 from repro.evaluation.parallel import (
     batch_map,
     default_jobs,
-    parallel_map,
     resolve_jobs,
+    supervised_map,
 )
 from repro.evaluation.tables import table3
 from repro.partition.strategies import Strategy
@@ -209,8 +209,9 @@ def _batch_campaign(jobs):
     }
     if jobs > 1:
         jit_jobs_s = _best_wall_clock(
-            lambda: parallel_map(
-                _jit_campaign_task, [(row,) for row in rows], jobs=jobs
+            lambda: supervised_map(
+                _jit_campaign_task, [(row,) for row in rows], jobs=jobs,
+                retries=0,
             )
         )
         section["jit_jobs_s"] = round(jit_jobs_s, 4)

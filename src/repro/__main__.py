@@ -49,7 +49,7 @@ chaos [--seed S] [--cycles N] [--jobs-per-cycle K] [--budget SEC] ...
     runs twice, and replays stay bit-identical (docs/serving.md).
 
 Every command that compiles under a CB-family strategy accepts
-``--partitioner`` (greedy | exact | anneal | kl) selecting the
+``--partitioner`` (greedy | exact) selecting the
 interference-graph partitioner from the registry
 (:data:`repro.partition.registry.PARTITIONERS`).  The evaluation
 commands (run, compare, figure7, figure8, table3, report) and serve
@@ -489,8 +489,7 @@ def build_parser():
             default="greedy",
             choices=sorted(PARTITIONERS),
             help="interference-graph partitioner: the paper's greedy "
-            "heuristic, branch-and-bound exact max-cut, seeded simulated "
-            "annealing, or Kernighan-Lin refinement",
+            "heuristic or branch-and-bound exact max-cut",
         )
 
     def nonnegative_int(text):

@@ -54,7 +54,7 @@ class CompileOptions:
         #: Interference-graph partitioner name for the CB-family
         #: strategies (:data:`~repro.partition.registry.PARTITIONERS`).
         self.partitioner = partitioner
-        #: One seed for partitioner tie-breaks and annealing schedules.
+        #: One seed for the partitioners' greedy tie-breaks.
         self.partitioner_seed = partitioner_seed
         #: Optional :class:`~repro.obs.core.Recorder` collecting per-pass
         #: spans; None means the shared no-op recorder.

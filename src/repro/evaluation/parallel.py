@@ -3,7 +3,7 @@
 The figure/table regenerations are embarrassingly parallel at the
 (workload, configuration) granularity — every pair is an independent
 compile + simulate + verify pipeline.  This module fans those pairs out
-over a :class:`concurrent.futures.ProcessPoolExecutor`:
+over worker processes with :func:`supervised_map`:
 
 * tasks are shipped as (workload name, strategy name, backend) triples —
   workloads rebuild deterministically from the registry, so nothing
@@ -17,20 +17,17 @@ over a :class:`concurrent.futures.ProcessPoolExecutor`:
   the calling process — results are bit-identical either way, because
   every pipeline stage is deterministic.
 
-Two fan-out primitives live here:
-
-* :func:`parallel_map` — the fire-and-forget pool for quick sweeps.
-  Worker failures are re-raised *cleanly* in the parent: simulator
-  faults come back as the structured :mod:`repro.sim.errors` taxonomy
-  (category, pc, backend, seed attached; the raw worker traceback on
-  ``remote_traceback``, not vomited to the console), and a
-  ``KeyboardInterrupt`` anywhere terminates the whole pool instead of
-  orphaning workers;
-* :func:`supervised_map` — the resilient runner long campaigns (fault
-  injection, fuzzing, sweeps) use: per-task timeouts, bounded retry
-  with exponential backoff, dead-worker replacement, checkpoint/resume
-  through a :class:`Journal`, and degradation to serial execution when
-  workers keep dying.
+:func:`supervised_map` is the one process pool: per-task timeouts,
+bounded retry with exponential backoff, dead-worker replacement,
+checkpoint/resume through a :class:`Journal`, and degradation to serial
+execution when workers keep dying.  Worker failures are re-raised
+*cleanly* in the parent: simulator faults come back as the structured
+:mod:`repro.sim.errors` taxonomy (category, pc, backend, seed attached;
+the raw worker traceback on ``remote_traceback``, not vomited to the
+console), and a ``KeyboardInterrupt`` anywhere terminates the whole
+pool instead of orphaning workers.  Quick sweeps (figure/table
+regeneration, the gap study) call it with ``retries=0``, so any failure
+fails the run.
 
 The worker protocol is **hash-first**: task tuples carry names, seeds,
 and content digests — never built modules or compiled programs — and
@@ -47,7 +44,6 @@ import pickle
 import time
 import weakref
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 
 from repro.evaluation.runner import (
     WorkloadEvaluation,
@@ -224,62 +220,6 @@ def _raise_remote(description, task_key=None, attempts=1):
     raise error
 
 
-def _guarded_call(pair):
-    """Worker shim for :func:`parallel_map`: never lets an exception
-    escape into the pool machinery — failures come back as data."""
-    fn, arguments = pair
-    try:
-        return ("ok", fn(*arguments))
-    except BaseException as exc:  # noqa: BLE001 — shipped to the parent
-        return ("error", describe_fault(exc))
-
-
-def _terminate_pool(pool):
-    """Hard-stop a :class:`ProcessPoolExecutor`: cancel queued work and
-    terminate the worker processes so a ``KeyboardInterrupt`` (or any
-    abort) never leaves orphans behind."""
-    pool.shutdown(wait=False, cancel_futures=True)
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        process.terminate()
-    for process in list(processes.values()):
-        process.join(timeout=5)
-
-
-def parallel_map(fn, argument_tuples, jobs=None):
-    """Map a picklable top-level *fn* over argument tuples.
-
-    The shared fan-out primitive for every embarrassingly parallel sweep
-    (figure/table regeneration, the fuzz campaign): ``jobs`` in
-    (None, 0, 1) runs serially in-process, anything larger fans out over
-    a :class:`ProcessPoolExecutor`.  Results come back in input order
-    either way, so callers are oblivious to the execution mode.
-
-    Worker failures re-raise cleanly in the parent (structured sim
-    taxonomy or :class:`TaskError`, never a raw remote traceback), and
-    any abort — including ``KeyboardInterrupt`` — terminates the pool's
-    worker processes before propagating.
-    """
-    argument_tuples = list(argument_tuples)
-    if not jobs or jobs == 1 or len(argument_tuples) <= 1:
-        return [fn(*arguments) for arguments in argument_tuples]
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    try:
-        outcomes = list(
-            pool.map(_guarded_call, [(fn, a) for a in argument_tuples])
-        )
-    except BaseException:
-        _terminate_pool(pool)
-        raise
-    pool.shutdown()
-    results = []
-    for status, payload in outcomes:
-        if status == "error":
-            _raise_remote(payload)
-        results.append(payload)
-    return results
-
-
 # ----------------------------------------------------------------------
 # Batched fan-out (lockstep lanes instead of processes)
 # ----------------------------------------------------------------------
@@ -327,13 +267,12 @@ class BatchTaskResult:
 def batch_map(tasks, lanes=64, backend="batch", observe=NULL_RECORDER):
     """Run simulation *tasks*, batching compatible ones into lockstep lanes.
 
-    The third fan-out primitive, sibling to :func:`parallel_map` (process
-    pool) and :func:`supervised_map` (resilient pool): instead of paying
-    one process and one simulator per instance, tasks whose compiled
-    programs share a content fingerprint execute together on the
-    :class:`~repro.sim.batchsim.BatchSimulator`, up to *lanes* instances
-    per lockstep slab.  Each task is a ``(program, writes, reads)``
-    triple:
+    The lane-level sibling of :func:`supervised_map` (process pool):
+    instead of paying one process and one simulator per instance, tasks
+    whose compiled programs share a content fingerprint execute together
+    on the :class:`~repro.sim.batchsim.BatchSimulator`, up to *lanes*
+    instances per lockstep slab.  Each task is a
+    ``(program, writes, reads)`` triple:
 
     * ``program`` — a compiled machine program (tasks group by
       :func:`program_fingerprint`, so identical programs batch no matter
@@ -635,9 +574,9 @@ def _run_supervised_pool(fn, arguments, pending, results, jobs, timeouts,
                          on_error="raise"):
     """Pool leg of :func:`supervised_map` (see its docstring for the
     contract).  Own Process/Pipe supervisor rather than an executor:
-    per-task deadlines require terminating individual workers, which
-    :class:`ProcessPoolExecutor` cannot do.  ``timeouts`` is a per-task
-    list (entries may be None for "no deadline")."""
+    per-task deadlines require terminating individual workers, which an
+    executor cannot do.  ``timeouts`` is a per-task list (entries may be
+    None for "no deadline")."""
     import multiprocessing
 
     context = multiprocessing.get_context()
@@ -723,20 +662,17 @@ def _run_supervised_pool(fn, arguments, pending, results, jobs, timeouts,
                 remote_traceback=remote_traceback,
             ))
             return
-        if description is not None and description.get("category") is not None:
+        if description is not None:
             _raise_remote(
                 description,
                 task_key=Journal.key_for(arguments[index]),
                 attempts=attempt,
             )
-        error = error_cls(
+        raise error_cls(
             "task %d %s after %d attempt(s)" % (index, reason, attempt),
             task_key=Journal.key_for(arguments[index]),
             attempts=attempt,
         )
-        if description is not None:
-            error.remote_traceback = description.get("traceback")
-        raise error
 
     from multiprocessing.connection import wait as connection_wait
 
@@ -871,11 +807,12 @@ def supervised_map(fn, argument_tuples, jobs=None, timeout=None, retries=2,
                    backoff=0.25, journal=None, retry_errors=False,
                    degrade_after=None, log=None, observe=NULL_RECORDER,
                    on_error="raise"):
-    """Resilient :func:`parallel_map`: supervise every task to completion.
+    """Map a picklable top-level *fn* over argument tuples, supervising
+    every task to completion.
 
-    The campaign runner behind ``repro faults`` (and, via the
-    ``--journal`` options, the fuzzer, sweeps, and the serving
-    dispatcher).  Semantics:
+    The one process pool: behind ``repro faults``, the fuzzer, sweeps,
+    the serving dispatcher, and (with ``retries=0``) the figure/table
+    regenerations and the gap study.  Semantics:
 
     * ``jobs`` in (None, 0, 1) runs serially in-process; otherwise
       *jobs* supervised worker processes are spawned, each running one
@@ -909,7 +846,7 @@ def supervised_map(fn, argument_tuples, jobs=None, timeout=None, retries=2,
     * ``KeyboardInterrupt`` — in the parent or raised by a task —
       terminates every worker, flushes the journal, and re-raises.
 
-    Returns results in input order, like :func:`parallel_map`.
+    Returns results in input order, whichever leg ran them.
     """
     if on_error not in ("raise", "return"):
         raise ValueError(
@@ -1050,7 +987,8 @@ def evaluate_workloads(table, names, strategies, jobs=None, backend="interp",
             )
 
     collected = {name: {} for name in names}
-    for name, measurement in parallel_map(_measure_pair, tasks, jobs=jobs):
+    for name, measurement in supervised_map(_measure_pair, tasks, jobs=jobs,
+                                            retries=0):
         collected[name][measurement.strategy] = measurement
 
     return {

@@ -123,7 +123,7 @@ def partition_gap(jobs=None, backend="interp", workloads=None):
     greedy-vs-exact gap, how often each heuristic hit the proved
     optimum, and the mean realized PCR.
     """
-    from repro.evaluation.parallel import parallel_map
+    from repro.evaluation.parallel import supervised_map
     from repro.workloads.registry import all_workloads
 
     table = all_workloads()
@@ -134,8 +134,8 @@ def partition_gap(jobs=None, backend="interp", workloads=None):
             "unknown workload(s) %s (choose from: %s)"
             % (", ".join(unknown), ", ".join(sorted(table)))
         )
-    rows = parallel_map(measure_gap, [(name, backend) for name in names],
-                        jobs=jobs)
+    rows = supervised_map(measure_gap, [(name, backend) for name in names],
+                          jobs=jobs, retries=0)
     return {
         "backend": backend,
         "strategy": GAP_STRATEGY.name,

@@ -2,7 +2,7 @@
 
 Seeds ``seed .. seed + runs - 1`` are checked against the differential
 oracle, fanned over worker processes via
-:func:`repro.evaluation.parallel.parallel_map` (the same primitive the
+:func:`repro.evaluation.parallel.supervised_map` (the same pool the
 figure/table regenerations use).  Workers ship back only (seed, failure
 summary) pairs; everything a failure needs is reproducible from its
 seed, so the parent re-runs, shrinks, and archives each failing case:
@@ -134,16 +134,16 @@ def fuzz_campaign(
 
     Returns the list of :class:`FuzzFailure` (empty on a clean campaign).
     ``jobs`` follows the ``--jobs`` convention of the evaluation runner
-    (None/1 = serial, 0 resolved by the caller to all cores).  With a
-    *journal* path or a per-seed *timeout*, the seeds run through the
-    supervised runner instead (:func:`~repro.evaluation.parallel.
-    supervised_map`): completed seeds checkpoint to the journal, so an
-    interrupted campaign rerun with the same arguments resumes where it
-    stopped, and hung or crashed workers are retried.  ``backends`` and
+    (None/1 = serial, 0 resolved by the caller to all cores).  Seeds run
+    through the supervised runner (:func:`~repro.evaluation.parallel.
+    supervised_map`), so crashed workers (and, with a per-seed
+    *timeout*, hung ones) are retried.  With a *journal* path, completed
+    seeds checkpoint to it, so an interrupted campaign rerun with the
+    same arguments resumes where it stopped.  ``backends`` and
     ``partitioners`` restrict the corresponding oracle stages per
     :func:`check_seed`.
     """
-    from repro.evaluation.parallel import parallel_map, supervised_map
+    from repro.evaluation.parallel import supervised_map
 
     emit = log or (lambda message: None)
     seeds = range(seed, seed + runs)
@@ -156,13 +156,10 @@ def fuzz_campaign(
     # journals resume.
     extra = () if partitioners is None else (partitioners,)
     tasks = [(s, max_statements, backends) + extra for s in seeds]
-    if journal is not None or timeout is not None:
-        outcomes = supervised_map(
-            check_seed, tasks, jobs=jobs,
-            journal=journal, timeout=timeout, log=log,
-        )
-    else:
-        outcomes = parallel_map(check_seed, tasks, jobs=jobs)
+    outcomes = supervised_map(
+        check_seed, tasks, jobs=jobs, journal=journal, timeout=timeout,
+        log=log,
+    )
     failures = []
     for outcome_seed, summary in outcomes:
         if summary is None:

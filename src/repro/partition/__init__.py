@@ -9,8 +9,7 @@ This package implements the two algorithms of paper Section 3:
   partitioner.  The paper's greedy algorithm
   (:mod:`repro.partition.greedy`) is the default of an interchangeable
   registry (:mod:`repro.partition.registry`) that also offers an exact
-  branch-and-bound solver, simulated annealing, and Kernighan-Lin
-  refinement — see ``--partitioner`` on the CLI.
+  branch-and-bound solver — see ``--partitioner`` on the CLI.
 * **Partial data duplication** — duplicate arrays that are accessed twice
   in potentially-parallel memory operations, inserting integrity stores to
   keep both copies coherent (:mod:`repro.partition.duplication`).
@@ -25,8 +24,6 @@ from repro.partition.interference import InterferenceGraph
 from repro.partition.graph_builder import build_interference_graph
 from repro.partition.greedy import GreedyPartitioner, PartitionResult
 from repro.partition.exact import ExactPartitioner
-from repro.partition.anneal import AnnealPartitioner
-from repro.partition.kl import KLPartitioner
 from repro.partition.registry import (
     DEFAULT_PARTITIONER,
     PARTITIONERS,
@@ -41,12 +38,10 @@ from repro.partition.strategies import AllocationResult, Strategy, run_allocatio
 
 __all__ = [
     "AllocationResult",
-    "AnnealPartitioner",
     "DEFAULT_PARTITIONER",
     "ExactPartitioner",
     "GreedyPartitioner",
     "InterferenceGraph",
-    "KLPartitioner",
     "PARTITIONERS",
     "PartitionResult",
     "ProfileWeights",

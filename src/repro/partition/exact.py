@@ -24,9 +24,9 @@ at the greedy partition, so the exact result can never be worse than
 greedy, and the first-node-stays-in-X convention halves the 2^n space.
 
 Beyond :data:`ExactPartitioner.NODE_LIMIT` nodes the solver does not
-attempt the search at all: it returns the Kernighan-Lin refinement of
-greedy (:mod:`repro.partition.kl`) with ``proved_optimal=False`` so
-callers can still ask for "exact" uniformly and read the flag.
+attempt the search at all: it returns the greedy incumbent with
+``proved_optimal=False`` so callers can still ask for "exact" uniformly
+and read the flag.
 """
 
 from repro.partition.greedy import GreedyPartitioner, PartitionResult
@@ -68,17 +68,11 @@ class ExactPartitioner:
         if observe is None:
             from repro.obs.core import NULL_RECORDER as observe
         nodes = self.graph.nodes
-        if len(nodes) > self.node_limit:
-            from repro.partition.kl import KLPartitioner
-
-            observe.counter("bnb.skipped_too_large")
-            result = KLPartitioner(self.graph, seed=self.seed).partition(
-                observe=observe
-            )
-            result.proved_optimal = False
-            return result
-
         seeded = GreedyPartitioner(self.graph, seed=self.seed).partition()
+        if len(nodes) > self.node_limit:
+            observe.counter("bnb.skipped_too_large")
+            seeded.proved_optimal = False
+            return seeded
         if len(nodes) <= 1:
             seeded.proved_optimal = True
             return seeded

@@ -6,20 +6,17 @@ Every entry is a class with the uniform signature
 
 so allocation strategies, the CLI's ``--partitioner`` flag, the fuzz
 oracle's partitioner stage, and the gap-to-optimal evaluation can all
-swap algorithms freely — one campaign seed steers greedy tie-breaks and
-annealing alike.  The registered algorithms:
+swap algorithms freely — one campaign seed steers greedy's tie-breaks
+(and through them the exact solver's incumbent).  The registered
+algorithms:
 
 ``greedy``
     the paper's O(v^2) node-moving descent (Figure 5) — the default;
 ``exact``
     branch-and-bound minimum cost with interference-weight bounds,
     provably optimal up to :data:`~repro.partition.exact.
-    ExactPartitioner.NODE_LIMIT` nodes (KL fallback beyond, flagged via
-    ``proved_optimal=False``);
-``anneal``
-    seeded simulated annealing started from the greedy partition;
-``kl``
-    Kernighan-Lin/FM pass refinement of the greedy partition.
+    ExactPartitioner.NODE_LIMIT` nodes (the greedy partition beyond,
+    flagged via ``proved_optimal=False``).
 
 Adding an entry here is deliberately load-bearing:
 ``tests/test_partitioner_registry.py`` asserts every registered name is
@@ -28,17 +25,13 @@ covered by the fuzz oracle's partitioner stage, so a partitioner cannot
 ship without differential coverage.
 """
 
-from repro.partition.anneal import AnnealPartitioner
 from repro.partition.exact import ExactPartitioner
 from repro.partition.greedy import GreedyPartitioner
-from repro.partition.kl import KLPartitioner
 
 #: name -> partitioner class; keep the paper's greedy first as default.
 PARTITIONERS = {
     "greedy": GreedyPartitioner,
     "exact": ExactPartitioner,
-    "anneal": AnnealPartitioner,
-    "kl": KLPartitioner,
 }
 
 #: the paper's algorithm, used wherever no explicit choice is made

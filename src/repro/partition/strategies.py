@@ -138,7 +138,7 @@ def run_allocation(module, strategy, profile_counts=None, interrupt_safe=True,
     ``partitioner`` names the interference-graph partitioner
     (:data:`~repro.partition.registry.PARTITIONERS`; the paper's greedy
     by default) used by the CB-family strategies; ``partitioner_seed``
-    is the one seed steering greedy tie-breaks and annealing alike.
+    is the one seed steering greedy's tie-breaks.
     Partitioners only move the cut cost, never program semantics, so
     every choice compiles to a correct program (the fuzz oracle's
     partitioner stage checks exactly that).

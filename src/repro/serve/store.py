@@ -19,7 +19,7 @@ forever.  This module promotes it to disk:
   in-memory dict in front of an optional :class:`ArtifactStore`.  It
   speaks the same ``get(key)`` / ``cache[key] = value`` protocol as the
   plain dicts :func:`~repro.evaluation.runner._compile_cached` always
-  used, so every caller (serial evaluation, ``parallel_map`` workers,
+  used, so every caller (serial evaluation, ``supervised_map`` workers,
   the serve worker pool) reads through the store by construction.
 
 Concurrent writers are safe by design: two processes racing on one key

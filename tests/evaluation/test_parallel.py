@@ -17,7 +17,6 @@ from repro.evaluation.parallel import (
     WorkerDied,
     default_jobs,
     evaluate_workloads,
-    parallel_map,
     resolve_jobs,
     supervised_map,
 )
@@ -159,37 +158,6 @@ def test_parallel_matches_serial_bit_for_bit():
 
 
 # ----------------------------------------------------------------------
-# parallel_map failure semantics
-# ----------------------------------------------------------------------
-def test_parallel_map_reraises_sim_faults_with_context():
-    """Simulator faults cross the pool boundary as the structured
-    taxonomy, pc/backend intact, worker traceback attached — not as a
-    raw pickled traceback dump."""
-    with pytest.raises(MachineError) as excinfo:
-        parallel_map(_machine_fault, [(1,), (2,)], jobs=2)
-    fault = excinfo.value
-    assert fault.pc == 7
-    assert fault.cycle == 11
-    assert fault.backend == "fast"
-    assert fault.remote_traceback and "SimulationError" in fault.remote_traceback
-    _assert_no_orphans()
-
-
-def test_parallel_map_wraps_plain_exceptions():
-    with pytest.raises(TaskError) as excinfo:
-        parallel_map(_fail, [(1,), (2,)], jobs=2)
-    assert "boom" in str(excinfo.value)
-    assert "ValueError" in excinfo.value.remote_traceback
-    _assert_no_orphans()
-
-
-def test_parallel_map_keyboard_interrupt_leaves_no_orphans():
-    with pytest.raises(KeyboardInterrupt):
-        parallel_map(_raise_interrupt, [(1,), (2,)], jobs=2)
-    _assert_no_orphans()
-
-
-# ----------------------------------------------------------------------
 # supervised_map
 # ----------------------------------------------------------------------
 def test_supervised_matches_serial():
@@ -248,8 +216,14 @@ def test_single_task_with_timeout_is_still_supervised():
 
 
 def test_fn_exceptions_reraise_without_retry_by_default():
-    with pytest.raises(TaskError):
+    """A plain worker exception reaches the caller as a TaskError
+    carrying the original kind and message, worker traceback attached."""
+    with pytest.raises(TaskError) as excinfo:
         supervised_map(_fail, [(1,), (2,)], jobs=2, retries=5, backoff=0.01)
+    assert "ValueError: boom" in str(excinfo.value)
+    assert "ValueError" in excinfo.value.remote_traceback
+    assert excinfo.value.attempts == 1
+    assert excinfo.value.task_key is not None
     _assert_no_orphans()
 
 
@@ -262,16 +236,52 @@ def test_fn_exceptions_retry_when_asked(tmp_path):
 
 
 def test_sim_faults_keep_taxonomy_through_supervisor():
+    """Simulator faults cross the pool boundary as the structured
+    taxonomy, pc/backend intact, worker traceback attached — not as a
+    raw pickled traceback dump."""
     with pytest.raises(MachineError) as excinfo:
         supervised_map(_machine_fault, [(1,), (2,)], jobs=2)
-    assert excinfo.value.pc == 7
-    assert excinfo.value.backend == "fast"
+    fault = excinfo.value
+    assert fault.pc == 7
+    assert fault.cycle == 11
+    assert fault.backend == "fast"
+    assert fault.remote_traceback and "SimulationError" in fault.remote_traceback
     _assert_no_orphans()
 
 
 def test_worker_keyboard_interrupt_propagates_cleanly():
     with pytest.raises(KeyboardInterrupt):
         supervised_map(_raise_interrupt, [(1,), (2,)], jobs=2)
+    _assert_no_orphans()
+
+
+# ----------------------------------------------------------------------
+# supervised_map(..., retries=0): the pool quick sweeps (evaluate_workloads,
+# partition_gap) use in place of the removed parallel_map — the names
+# keep the failure semantics that parallel_map used to guarantee
+# ----------------------------------------------------------------------
+def test_parallel_map_reraises_sim_faults_with_context():
+    with pytest.raises(MachineError) as excinfo:
+        supervised_map(_machine_fault, [(1,), (2,)], jobs=2, retries=0)
+    fault = excinfo.value
+    assert fault.pc == 7
+    assert fault.cycle == 11
+    assert fault.backend == "fast"
+    assert fault.remote_traceback and "SimulationError" in fault.remote_traceback
+    _assert_no_orphans()
+
+
+def test_parallel_map_wraps_plain_exceptions():
+    with pytest.raises(TaskError) as excinfo:
+        supervised_map(_fail, [(1,), (2,)], jobs=2, retries=0)
+    assert "boom" in str(excinfo.value)
+    assert "ValueError" in excinfo.value.remote_traceback
+    _assert_no_orphans()
+
+
+def test_parallel_map_keyboard_interrupt_leaves_no_orphans():
+    with pytest.raises(KeyboardInterrupt):
+        supervised_map(_raise_interrupt, [(1,), (2,)], jobs=2, retries=0)
     _assert_no_orphans()
 
 

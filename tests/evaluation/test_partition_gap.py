@@ -46,10 +46,11 @@ def test_exact_is_proved_and_anchors_every_gap(report):
 def test_greedy_gap_is_real_on_trellis(report):
     """The study's headline finding: the paper's greedy heuristic misses
     the proved optimum on the trellis graph (the registry's largest),
-    while annealing finds it — the gap column is not vacuously 1.0."""
+    while the exact solver finds it — the gap column is not vacuously
+    1.0."""
     row = report["workloads"]["trellis"]
     assert row["gap"]["greedy"] > 1.0
-    assert row["gap"]["anneal"] == 1.0
+    assert row["gap"]["exact"] == 1.0
 
 
 def test_aggregate_counts(report):

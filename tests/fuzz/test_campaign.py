@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.evaluation.parallel import parallel_map
+from repro.evaluation.parallel import supervised_map
 from repro.fuzz import campaign
 from repro.fuzz.generator import Recipe
 from repro.fuzz.oracle import OracleViolation
@@ -86,18 +86,19 @@ def test_check_seed_is_picklable_and_deterministic():
     assert summary is None
 
 
-def test_parallel_map_serial_and_pooled_agree():
+def test_check_seed_serial_and_pooled_agree():
     arguments = [(seed, 4) for seed in range(6)]
-    serial = parallel_map(campaign.check_seed, arguments, jobs=None)
-    pooled = parallel_map(campaign.check_seed, arguments, jobs=2)
+    serial = supervised_map(campaign.check_seed, arguments, jobs=None)
+    pooled = supervised_map(campaign.check_seed, arguments, jobs=2)
     assert serial == pooled
     assert [seed for seed, _ in serial] == list(range(6))
 
 
 def test_parallel_map_preserves_order_with_plain_fn():
-    assert parallel_map(_double, [(value,) for value in range(10)], jobs=2) == [
-        value * 2 for value in range(10)
-    ]
+    """The pooled path hands results back in input order."""
+    assert supervised_map(
+        _double, [(value,) for value in range(10)], jobs=2
+    ) == [value * 2 for value in range(10)]
 
 
 def _double(value):

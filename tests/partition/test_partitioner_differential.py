@@ -86,6 +86,25 @@ def test_every_partitioner_respects_the_brute_force_floor(name):
         assert result.final_cost >= floor
 
 
+def test_exact_past_its_node_limit_returns_the_greedy_incumbent():
+    """Beyond ``node_limit`` the search is skipped: the result is the
+    greedy partition for the same seed, flagged as not proved."""
+    from repro.obs.core import Recorder
+    from repro.partition.exact import ExactPartitioner
+    from repro.partition.greedy import GreedyPartitioner
+
+    graph = _random_graph(6)
+    assert len(graph.nodes) >= 3
+    recorder = Recorder()
+    result = ExactPartitioner(graph, seed=5, node_limit=2).partition(
+        observe=recorder
+    )
+    greedy = GreedyPartitioner(graph, seed=5).partition()
+    assert result.proved_optimal is False
+    assert result.final_cost == greedy.final_cost
+    assert recorder.counters["bnb.skipped_too_large"] == 1
+
+
 def test_exact_on_paper_figure5_graph():
     """The Figure 5 example: greedy's cost-2 answer is in fact optimal
     (K4 with one weight-2 edge cannot be split cheaper)."""

@@ -1,8 +1,8 @@
 """Property tests every registry partitioner must satisfy.
 
 The registry contract (:mod:`repro.partition.registry`): whatever the
-algorithm — greedy descent, branch-and-bound, annealing, KL refinement
-— a partitioner maps ``(graph, seed)`` to a
+algorithm — greedy descent or branch-and-bound — a partitioner maps
+``(graph, seed)`` to a
 :class:`~repro.partition.greedy.PartitionResult` whose sets cover the
 nodes disjointly, whose cost trace starts at the everything-in-X cost
 and strictly decreases to the cost of the returned assignment, and

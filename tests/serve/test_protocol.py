@@ -49,6 +49,7 @@ def test_explicit_fields_survive():
         ({"workload": "not_a_workload"}, "workload"),
         ({"writes": [1, 2]}, "writes"),
         ({"reads": "y"}, "reads"),
+        ({"partitioner": "anneal"}, "partitioner"),
     ],
 )
 def test_bad_fields_are_named(overrides, field):

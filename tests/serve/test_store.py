@@ -225,7 +225,7 @@ def test_compile_key_drifts_with_options_and_fingerprint():
     )
     for options in (
         CompileOptions(partitioner_seed=3),
-        CompileOptions(partitioner="anneal"),
+        CompileOptions(partitioner="exact"),
         CompileOptions(strategy=Strategy.IDEAL),
     ):
         drifted = ArtifactStore.entry_id(

@@ -89,12 +89,12 @@ def test_public_callables_documented_in_obs_and_evaluation():
 
 def test_key_entry_points_documented():
     """The entry points the docs walk through must stay documented."""
-    from repro.evaluation.parallel import parallel_map
+    from repro.evaluation.parallel import supervised_map
     from repro.fuzz.campaign import fuzz_campaign
     from repro.partition.strategies import run_allocation
     from repro.sim.fastsim import make_simulator
 
-    for obj in (make_simulator, parallel_map, fuzz_campaign, run_allocation):
+    for obj in (make_simulator, supervised_map, fuzz_campaign, run_allocation):
         assert (obj.__doc__ or "").strip(), obj
 
 
