@@ -6,8 +6,8 @@ store sabotage, protocol abuse); :mod:`repro.chaos.harness` drives a
 live ``repro serve`` subprocess through one and asserts the
 crash-safety invariants — no accepted job lost, no job executed twice,
 replays bit-identical to direct execution, recovery inside its budget.
-``repro chaos`` is the CLI entry point; ``benchmarks/bench_chaos.py``
-freezes a campaign's verdict into ``BENCH_chaos.json``.
+``repro chaos`` is the CLI entry point; ``tests/chaos/test_harness.py``
+holds seeded campaigns to those invariants.
 """
 
 from repro.chaos.harness import render_chaos, run_chaos

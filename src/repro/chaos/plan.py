@@ -5,9 +5,9 @@ A :class:`ChaosPlan` is to the chaos harness what a
 small, JSON-stable value that *deterministically* describes one chaos
 campaign against a live ``repro serve`` process.  Same plan + same
 code ⇒ the same submissions, the same kill points, the same induced
-corruptions — which is what lets ``BENCH_chaos.json`` freeze the
+corruptions — which is what lets a seeded campaign hold the
 crash-safety invariants (no accepted job lost, no job executed twice,
-replays bit-identical) as a regression gate instead of a flaky soak.
+replays bit-identical) as a regression test instead of a flaky soak.
 
 A plan is a list of **cycles**.  Each cycle names the jobs submitted
 while the service is up and the chaos events applied around them:
@@ -171,8 +171,8 @@ def generate_plan(seed, cycles=3, jobs_per_cycle=4):
     Every cycle ends in a ``kill`` (the crash/restart loop is the
     point); auxiliary events — store corruption, oversized and stalled
     submissions, worker kills — are drawn per cycle.  Deterministic:
-    same arguments ⇒ equal plans, the property ``BENCH_chaos.json``
-    and the replay tests lean on.
+    same arguments ⇒ equal plans, the property the chaos campaign
+    tests and the replay tests lean on.
     """
     rng = random.Random((seed & 0xFFFFFFFF) ^ 0xC4A0_5EED)
     drawn = []

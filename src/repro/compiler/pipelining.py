@@ -31,7 +31,8 @@ Eligibility (checked conservatively):
 The pass is **off by default** (``CompileOptions(software_pipelining=
 True)`` enables it): the paper's measured results come from the plain
 compaction schedule, and the reproduction keeps that configuration;
-``benchmarks/bench_pipelining.py`` quantifies what the optimization adds.
+``tests/compiler/test_pipelining.py`` holds what the optimization adds
+on the paper's kernels.
 """
 
 from repro.ir.operations import OpCode, Operation

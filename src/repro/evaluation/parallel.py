@@ -34,8 +34,8 @@ and content digests — never built modules or compiled programs — and
 workers rehydrate through the deterministic registry/generator plus
 the content-addressed :mod:`repro.serve.store` tier.  The supervisor
 pickles each task exactly once, so per-task pipe payload bytes are
-measured for free (``supervised.payload_bytes`` counters and
-:func:`payload_stats`, gated by ``benchmarks/bench_compiler.py``).
+measured for free (the ``supervised.payload_bytes`` counter on the
+caller's recorder).
 """
 
 import json
@@ -58,29 +58,6 @@ from repro.sim.tracing import collect_block_counts
 #: per-process content-keyed compiled-program cache (worker side)
 _PROCESS_CACHE = {}
 
-#: cumulative supervised-dispatch payload accounting (parent side);
-#: read with :func:`payload_stats`, cleared with :func:`reset_payload_stats`
-_PAYLOAD_STATS = {"tasks": 0, "bytes": 0}
-
-
-def payload_stats():
-    """Snapshot of supervised task-payload accounting: how many task
-    sends crossed a worker pipe and how many pickled bytes they cost —
-    the quantity the hash-first protocol exists to keep small."""
-    stats = dict(_PAYLOAD_STATS)
-    stats["bytes_per_task"] = (
-        stats["bytes"] / stats["tasks"] if stats["tasks"] else 0.0
-    )
-    return stats
-
-
-def reset_payload_stats():
-    """Zero the payload accounting (benchmarks bracket a dispatch with
-    this and :func:`payload_stats` to isolate one run's wire bytes)."""
-    _PAYLOAD_STATS["tasks"] = 0
-    _PAYLOAD_STATS["bytes"] = 0
-
-
 def _send_task(connection, index, fn, arguments, observe=NULL_RECORDER):
     """Ship one task, pickling exactly once so its payload is measured.
 
@@ -88,8 +65,6 @@ def _send_task(connection, index, fn, arguments, observe=NULL_RECORDER):
     with ``Connection.recv()`` on the worker side.
     """
     payload = pickle.dumps((index, fn, arguments))
-    _PAYLOAD_STATS["tasks"] += 1
-    _PAYLOAD_STATS["bytes"] += len(payload)
     observe.counter("supervised.payload_bytes", len(payload))
     connection.send_bytes(payload)
 

@@ -15,8 +15,9 @@ and each run records
 
 The registry graphs all fit inside the exact solver's node limit, so
 the ``exact`` column is a proved optimum and every gap is exact, not
-estimated.  ``benchmarks/bench_partition.py`` freezes the result as
-``BENCH_partition.json`` and gates regressions.
+estimated.  ``tests/evaluation/BENCH_partition.json`` freezes the full
+study; ``tests/evaluation/test_partition_gap.py`` regenerates it and
+compares field for field.
 """
 
 from repro.evaluation.runner import _ratio, _run_once

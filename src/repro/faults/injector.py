@@ -101,9 +101,8 @@ class FaultInjector:
         """Injector for *plan*, or ``None`` when the plan is disarmed.
 
         ``None`` / event-less plans install **no hook at all**, so the
-        simulator keeps its fused no-hook fast path — the structural
-        guarantee behind the <2% fault-off overhead gate in
-        ``benchmarks/bench_simspeed.py``.
+        simulator keeps its fused no-hook fast path: fault injection
+        costs nothing when no plan is armed.
         """
         if plan is None or not plan.events:
             return None

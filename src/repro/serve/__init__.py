@@ -23,8 +23,7 @@ doing it under load":
   :class:`~repro.serve.client.ServeClient`.
 
 ``docs/serving.md`` documents the protocol, the store layout, and the
-operational knobs; ``benchmarks/bench_serve.py`` freezes the load-test
-headline numbers in ``BENCH_serve.json``.
+operational knobs.
 """
 
 from repro.serve.client import ServeClient

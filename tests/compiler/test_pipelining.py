@@ -145,12 +145,20 @@ def test_kernels_correct_with_pipelining(name):
 
 @pytest.mark.parametrize(
     ("name", "expect_faster"),
-    [("fir_32_1", True), ("mult_4_4", False)],
+    [
+        ("fir_32_1", True),
+        ("mult_4_4", False),
+        ("fir_256_64", True),
+        ("mult_10_10", False),
+        ("latnrm_32_64", True),
+        ("lmsfir_32_64", True),
+        ("iir_4_64", False),
+    ],
 )
 def test_pipelining_profitability(name, expect_faster):
-    """Memory-bound loops (fir) get faster; loops bound elsewhere (mult's
-    AU-heavy body) are skipped by the profitability check and must not
-    regress."""
+    """Memory-bound loops (fir, latnrm, lmsfir) get faster; loops bound
+    elsewhere (mult's AU-heavy body, iir's recurrence) are skipped by
+    the profitability check and must not regress."""
     workload = KERNELS[name]
 
     def cycles(sp):
@@ -169,3 +177,12 @@ def test_pipelining_profitability(name, expect_faster):
         assert with_sp < without_sp
     else:
         assert with_sp == without_sp
+
+
+def test_pipelined_fir_halves_like_figure1():
+    """The flagship: fir_256_64's inner loop becomes the paper's single
+    MAC-plus-two-loads instruction, nearly halving its cycles."""
+    workload = KERNELS["fir_256_64"]
+    plain = _run(workload.build(), False)[2].cycles
+    piped = _run(workload.build(), True)[2].cycles
+    assert plain / piped > 1.6

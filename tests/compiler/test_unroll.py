@@ -117,3 +117,22 @@ def test_unroll_composes_with_pipelining_and_dce():
     simulator = Simulator(compiled.program)
     simulator.run()
     assert simulator.read_global("out") == expected
+
+
+@pytest.mark.parametrize("name", ["fir_256_64", "lmsfir_32_64"])
+def test_unrolled_paper_kernels_never_slower(name):
+    """Unrolling raises cross-iteration memory parallelism on the MAC
+    kernels without restructuring the loop."""
+    workload = KERNELS[name]
+
+    def cycles(factor):
+        compiled = compile_module(
+            workload.build(),
+            CompileOptions(strategy=Strategy.CB, unroll_factor=factor),
+        )
+        simulator = Simulator(compiled.program)
+        result = simulator.run()
+        workload.verify(simulator)
+        return result.cycles
+
+    assert cycles(4) <= cycles(1)

@@ -163,7 +163,12 @@ def test_parallel_matches_serial_bit_for_bit():
 def test_supervised_matches_serial():
     tasks = [(i,) for i in range(6)]
     assert supervised_map(_square, tasks) == [i * i for i in range(6)]
-    assert supervised_map(_square, tasks, jobs=2) == [i * i for i in range(6)]
+    recorder = Recorder()
+    assert supervised_map(_square, tasks, jobs=2, observe=recorder) == [
+        i * i for i in range(6)
+    ]
+    # the tasks crossed worker pipes and their pickled size was counted
+    assert recorder.counters["supervised.payload_bytes"] > 0
     _assert_no_orphans()
 
 

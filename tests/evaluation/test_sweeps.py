@@ -20,14 +20,21 @@ def test_generic_sweep_includes_baseline():
 
 
 def test_kernel_size_sweep_shape():
-    series = kernel_size_sweep(taps_list=(8, 32))
-    assert [taps for taps, _g in series] == [8, 32]
-    assert all(gain > 10.0 for _t, gain in series)
+    """CB's gain grows toward its asymptote as loop overhead amortizes,
+    and never regresses."""
+    series = kernel_size_sweep()
+    assert [taps for taps, _g in series] == [8, 16, 32, 64, 128]
+    gains = [gain for _t, gain in series]
+    assert all(gain > 10.0 for gain in gains)
+    assert all(b >= a - 0.5 for a, b in zip(gains, gains[1:]))
+    assert gains[-1] > 45.0
 
 
 def test_duplication_crossover_exists():
-    rows, crossover = duplication_crossover(frame_sizes=(16, 512))
-    small, large = rows
+    rows, crossover = duplication_crossover()
+    small, large = rows[0], rows[-1]
     assert small[2] > small[1]   # Dup's PCR beats CB's at small frames
     assert large[2] < large[1]   # and loses at large frames
+    pcr_dups = [row[2] for row in rows]
+    assert all(b < a for a, b in zip(pcr_dups, pcr_dups[1:]))
     assert crossover == 512

@@ -61,7 +61,7 @@ def test_explicit_cadence_is_honoured():
 
 def test_for_plan_disarms_empty_plans():
     """None / event-less plans install no hook at all — the structural
-    guarantee behind the fault-off overhead gate."""
+    guarantee that fault injection costs nothing when no plan is armed."""
     assert FaultInjector.for_plan(None) is None
     assert FaultInjector.for_plan(FaultPlan(seed=0, events=[])) is None
     armed = FaultInjector.for_plan(generate_plan(0))

@@ -9,7 +9,7 @@ assignments are the ground truth the whole registry is checked against:
   cost at least the brute-force minimum too.
 
 This is what makes the ``exact`` entry trustworthy enough to anchor the
-gap-to-optimal study (``benchmarks/bench_partition.py``).
+gap-to-optimal study (``tests/evaluation/test_partition_gap.py``).
 """
 
 import itertools

@@ -124,7 +124,7 @@ def test_selective_never_below_best_of_cb_and_dup_on_dup_apps():
             workload.verify(sim)
             cycles[strategy] = result.cycles
         best = min(cycles[Strategy.CB], cycles[Strategy.CB_DUP])
-        assert cycles[Strategy.CB_DUP_SELECTIVE] <= best * 1.01, (name, cycles)
+        assert cycles[Strategy.CB_DUP_SELECTIVE] <= best, (name, cycles)
 
 
 def test_selective_decisions_recorded():

@@ -28,7 +28,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
 CODE_REF = re.compile(r"`([A-Za-z0-9_./-]+)`")
 PATH_EXTENSIONS = (".py", ".md", ".txt", ".json", ".toml", ".cfg", ".ini")
-TOP_DIRS = ("src/", "docs/", "tests/", "examples/", "benchmarks/")
+TOP_DIRS = ("src/", "docs/", "tests/", "examples/")
 
 
 def _markdown_files():
@@ -135,58 +135,3 @@ def test_every_cli_flag_is_documented():
         "flags missing from README/docs: %s" % sorted(undocumented)
     )
 
-
-# ---------------------------------------------------------------------
-# Benchmark drift guard
-# ---------------------------------------------------------------------
-BENCH_JSON = re.compile(r"BENCH_[a-z_]+\.json")
-
-
-def _bench_references():
-    """benchmark file name -> the BENCH_*.json names its source
-    mentions (the emitting benchmark always names its output)."""
-    bench_dir = os.path.join(REPO_ROOT, "benchmarks")
-    table = {}
-    for name in sorted(os.listdir(bench_dir)):
-        if name.startswith("bench_") and name.endswith(".py"):
-            refs = set(BENCH_JSON.findall(
-                open(os.path.join(bench_dir, name)).read()
-            ))
-            if refs:
-                table[name] = refs
-    return table
-
-
-def test_bench_json_files_match_their_benchmarks():
-    """Every committed BENCH_*.json has a benchmark that names it, and
-    every benchmark-named BENCH_*.json is committed — a renamed or
-    added benchmark output cannot drift from the frozen numbers."""
-    table = _bench_references()
-    referenced = set().union(*table.values()) if table else set()
-    committed = {
-        name for name in os.listdir(REPO_ROOT)
-        if BENCH_JSON.fullmatch(name)
-    }
-    assert committed == referenced, (
-        "committed-only: %s; referenced-only: %s"
-        % (sorted(committed - referenced), sorted(referenced - committed))
-    )
-
-
-def test_bench_jsons_and_their_benchmarks_are_documented():
-    """A benchmark that freezes headline numbers must be findable from
-    the docs: both the JSON name and the emitting bench_*.py file have
-    to appear in the README/docs corpus."""
-    corpus = _docs_corpus()
-    table = _bench_references()
-    undocumented = []
-    for bench, outputs in table.items():
-        if bench not in corpus:
-            undocumented.append(bench)
-        undocumented.extend(
-            output for output in sorted(outputs) if output not in corpus
-        )
-    assert not undocumented, (
-        "benchmark artifacts missing from README/docs: %s"
-        % sorted(set(undocumented))
-    )
