@@ -66,7 +66,7 @@ import sys
 from repro.compiler import CompileOptions, compile_module
 from repro.partition.registry import PARTITIONERS
 from repro.partition.strategies import PAPER_LABELS, Strategy
-from repro.sim.fastsim import BACKENDS, make_simulator
+from repro.sim import BACKENDS, make_simulator
 from repro.sim.simulator import Simulator
 from repro.sim.statistics import utilization
 from repro.sim.tracing import collect_block_counts
@@ -479,7 +479,7 @@ def build_parser():
             "--backend",
             default="interp",
             choices=sorted(BACKENDS),
-            help="simulator backend: reference interpreter, threaded code, "
+            help="simulator backend: reference interpreter, "
             "loop-specializing codegen, or batched lockstep lanes",
         )
 

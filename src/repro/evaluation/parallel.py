@@ -257,7 +257,7 @@ def batch_map(tasks, lanes=64, backend="batch", observe=NULL_RECORDER):
     * ``reads`` — iterable of global names to read back after the run.
 
     Results come back in task order as :class:`BatchTaskResult`.  With a
-    scalar *backend* name (``interp``/``fast``/``jit``) the same tasks
+    scalar *backend* name (``interp``/``jit``) the same tasks
     run one simulator per instance instead — bit-identical by the batch
     backend's contract, which is what the speedup benchmark and the
     differential tests compare against.
@@ -268,7 +268,7 @@ def batch_map(tasks, lanes=64, backend="batch", observe=NULL_RECORDER):
     counts ``batch.groups``, ``batch.slabs``, ``batch.instances`` and
     ``batch.fallbacks`` (slabs that left lockstep).
     """
-    from repro.sim.fastsim import make_simulator
+    from repro.sim import make_simulator
 
     tasks = [(program, dict(writes or {}), tuple(reads))
              for program, writes, reads in tasks]

@@ -10,7 +10,7 @@ allocation pass as edge weights.
 from repro.compiler import compile_module
 from repro.cost.model import CostModel
 from repro.partition.strategies import Strategy
-from repro.sim.fastsim import make_simulator
+from repro.sim import make_simulator
 from repro.sim.tracing import collect_block_counts
 
 
@@ -159,8 +159,8 @@ def evaluate_workload(workload, strategies, verify=True, backend="interp",
                       cache=None, partitioner="greedy"):
     """Measure *workload* under *strategies* (baseline always included).
 
-    ``backend`` selects the simulator backend (``interp``, ``fast``, or
-    ``jit`` — see :mod:`repro.sim.fastsim`); ``partitioner`` the
+    ``backend`` selects the simulator backend (``interp``, ``jit``, or
+    ``batch`` — see :mod:`repro.sim`); ``partitioner`` the
     interference-graph partitioner the CB-family strategies use
     (:data:`~repro.partition.registry.PARTITIONERS`); ``cache`` is an
     optional dict used as a content-keyed compiled-program cache shared

@@ -17,7 +17,7 @@ from repro.compiler import compile_module
 from repro.cost.model import CostModel
 from repro.frontend import ProgramBuilder
 from repro.partition.strategies import Strategy
-from repro.sim.fastsim import make_simulator
+from repro.sim import make_simulator
 
 
 class SweepPoint:
@@ -67,7 +67,7 @@ def sweep(factory, parameters, strategies, observe=None, journal=None,
     curves equal uninterrupted ones.
 
     ``backend`` selects the simulator backend for every point (any
-    :data:`~repro.sim.fastsim.BACKENDS` name, including ``batch``);
+    :data:`~repro.sim.BACKENDS` name, including ``batch``);
     results are bit-identical across backends, so it is purely a
     throughput knob.  Journals written under one backend resume under
     any other (the checkpoint key is backend-independent by design).

@@ -7,7 +7,7 @@ The subsystem ISSUE 5 adds on top of the paper's duplication story:
   flips, register corruption, stuck-bank windows, delivery jitter);
 * :mod:`repro.faults.injector` — delivers a plan through the simulator's
   cadence-aware interrupt-hook protocol (bit-identical on the
-  ``interp``/``fast``/``jit`` backends) and cross-checks duplicated
+  ``interp``/``jit``/``batch`` backends) and cross-checks duplicated
   copies at every delivery;
 * :mod:`repro.faults.experiment` — classifies each faulted run
   (masked / detected / silent / crash / hang) against a fault-free

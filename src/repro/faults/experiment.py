@@ -26,9 +26,9 @@ Cross-backend contract: for the same program and
 :class:`~repro.faults.plan.FaultPlan`, all three backends classify
 identically, and *completed* runs (masked/detected/silent) are
 bit-identical in architectural state and injector record.  Error paths
-may legitimately differ in cycle/pc detail (the fast backends check
-``max_cycles`` at block granularity and settle ``pc`` on loop entries —
-documented in :mod:`repro.sim.fastsim`), so crash/hang runs compare by
+may legitimately differ in cycle/pc detail (the ``jit`` backend checks
+``max_cycles`` at block granularity and settles ``pc`` on loop entries —
+documented in :mod:`repro.sim.loopjit`), so crash/hang runs compare by
 outcome and error category only.  :func:`comparable` projects a result
 onto exactly the fields the identity suite may assert.
 """
@@ -37,7 +37,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import generate_plan
 from repro.ir.symbols import MemoryBank
 from repro.sim.errors import classify_fault
-from repro.sim.fastsim import make_simulator
+from repro.sim import make_simulator
 from repro.sim.simulator import CycleLimitError, SimulationError
 
 #: outcome classes, worst first (report columns render in this order)

@@ -101,7 +101,7 @@ class FaultInjector:
         """Injector for *plan*, or ``None`` when the plan is disarmed.
 
         ``None`` / event-less plans install **no hook at all**, so the
-        simulator keeps its fused no-hook fast path: fault injection
+        simulator keeps its fused no-hook path: fault injection
         costs nothing when no plan is armed.
         """
         if plan is None or not plan.events:

@@ -21,7 +21,7 @@ pass and the simulators can disagree about:
   read twice per cycle — which drive the duplication transform and its
   store-lock integrity protocol;
 * an optional interrupt hook cadence, exercising the store-lock window
-  and the fast backend's per-instruction fallback path.
+  and the jit backend's stepped loop.
 
 Every statement is a plain list (JSON-friendly), every numeric field is
 a small non-negative integer, and :func:`build_module` clamps all

@@ -51,7 +51,7 @@ from repro.compiler import compile_module
 from repro.fuzz.generator import build_module
 from repro.ir.interp import IRInterpreter
 from repro.partition.strategies import Strategy
-from repro.sim.fastsim import make_simulator
+from repro.sim import make_simulator
 from repro.sim.interrupts import InterruptInjector
 from repro.sim.simulator import SimulationError, Simulator
 from repro.sim.tracing import collect_block_counts
@@ -66,7 +66,7 @@ ORACLE_STRATEGIES = (
 )
 
 #: every simulator backend, checked against each other per strategy
-ORACLE_BACKENDS = ("interp", "fast", "jit", "batch")
+ORACLE_BACKENDS = ("interp", "jit", "batch")
 
 #: every registered partitioner, checked against each other per recipe
 #: (greedy first: it is the reference the others are compared against)

@@ -6,7 +6,7 @@ one cycle per executed instruction) — and the static schedule says which
 memory operations, symbols, and banks live at each pc.  Profiling is
 therefore a *post-run analysis* over ``(program, result)``, exactly like
 :func:`repro.sim.tracing.collect_block_counts`: the simulators' hot
-paths (including the fast backend's fused superblocks) are untouched,
+paths (including the jit backend's fused superblocks) are untouched,
 and a profiled run is bit-identical to an unprofiled one by
 construction.
 

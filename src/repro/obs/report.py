@@ -59,7 +59,7 @@ def _measure(workload, strategy, backend, profile_counts=None, verify=True,
              partitioner="greedy"):
     """One instrumented compile + simulate + verify + profile."""
     from repro.compiler import CompileOptions, compile_module
-    from repro.sim.fastsim import make_simulator
+    from repro.sim import make_simulator
 
     recorder = Recorder()
     compiled = compile_module(
@@ -133,7 +133,7 @@ def build_report(workload, strategy=Strategy.CB,
         *strategy* against *baseline* (single-bank by default, matching
         how the paper normalizes every figure).
     backend:
-        Simulator backend name (``interp`` or ``fast``).
+        Simulator backend name (``interp``, ``jit`` or ``batch``).
     top:
         How many hot pcs to keep per configuration.
     verify:

@@ -106,7 +106,7 @@ def compile_for_job(job, cache):
     the final compile came from (``memory``/``store``/``compile``).
     """
     from repro.partition.strategies import Strategy
-    from repro.sim.fastsim import make_simulator
+    from repro.sim import make_simulator
     from repro.sim.tracing import collect_block_counts
 
     source = _JobSource(job, store=getattr(cache, "store", None))

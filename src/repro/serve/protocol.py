@@ -49,7 +49,7 @@ import json
 from repro.partition.registry import PARTITIONERS
 from repro.partition.strategies import Strategy
 from repro.sim.errors import categorize
-from repro.sim.fastsim import BACKENDS
+from repro.sim import BACKENDS
 
 PROTOCOL_VERSION = 1
 
@@ -162,6 +162,10 @@ def validate_job(obj):
         job["deadline_ms"] = float(deadline_ms)
     _require_name(job, "strategy", Strategy.__members__, "strategy")
     _require_name(job, "partitioner", PARTITIONERS, "partitioner")
+    if job["backend"] == "fast":
+        # wire alias of the retired threaded-code backend: jit runs the
+        # same program to the same bit-identical result
+        job["backend"] = "jit"
     _require_name(job, "backend", BACKENDS, "backend")
     if not isinstance(job["writes"], dict):
         raise JobError("writes must map global names to values", field="writes")

@@ -60,20 +60,13 @@ from repro.ir.operations import OpCode
 from repro.ir.symbols import MemoryBank
 from repro.ir.types import RegClass
 from repro.sim.fastsim import (
-    BACKENDS,
     FastSimulator,
     _BINARY_EXPR,
+    _FIXED_PARAMS,
     _UNARY_EXPR,
 )
 from repro.sim.loopjit import LoopJitSimulator
-from repro.sim.simulator import (
-    CycleLimitError,
-    SimulationError,
-    SimulationResult,
-    Simulator,
-    _BANK_X,
-    _BANK_Y,
-)
+from repro.sim.simulator import SimulationError, Simulator, _BANK_X, _BANK_Y
 
 _ndarray = np.ndarray
 
@@ -208,7 +201,7 @@ def _vfsqrt(a):
     return np.array(values, dtype=np.float64)
 
 
-#: globals injected into every generated-code namespace
+#: helpers every generated closure can name, bound through ``_FIXED``
 _HELPERS = {
     "_ND": _ndarray,
     "_ck": _collapse,
@@ -354,14 +347,19 @@ class BatchSimulator(FastSimulator):
 
     With the default ``lanes=1`` this is a drop-in scalar backend (the
     guards never fire on scalar state, so ``run()`` is bit-identical to
-    the interpreter by the same construction as the fast backend); with
-    ``lanes=N`` seed per-lane inputs via :meth:`write_global_lane` and
-    collect per-lane results from :meth:`run_batch`.
+    the interpreter by the same construction as ``jit``'s stepped loop,
+    which it shares); with ``lanes=N`` seed per-lane inputs via
+    :meth:`write_global_lane` and collect per-lane results from
+    :meth:`run_batch`.
     """
 
     backend_name = "batch"
 
     _binary_expr, _unary_expr = _batch_tables()
+
+    #: generated closures additionally see the lane helpers (kept in
+    #: lockstep with :meth:`_fixed_args`)
+    _FIXED = "%s, %s" % (_FIXED_PARAMS, ", ".join(_HELPERS))
 
     def __init__(self, program, lanes=1, **kwargs):
         if lanes < 1:
@@ -381,8 +379,8 @@ class BatchSimulator(FastSimulator):
     # ------------------------------------------------------------------
     # Codegen hooks (see fastsim)
     # ------------------------------------------------------------------
-    def _exec_namespace(self):
-        return dict(_HELPERS)
+    def _fixed_args(self):
+        return super()._fixed_args() + tuple(_HELPERS.values())
 
     def _guard_uniform(self, name, cb):
         cb.reads.append(
@@ -541,69 +539,6 @@ class BatchSimulator(FastSimulator):
     # ------------------------------------------------------------------
     # Lockstep execution
     # ------------------------------------------------------------------
-    def _advance(self):
-        """Run every lane from ``main`` to halt or fault.
-
-        Returns None on halt and the fault otherwise; a divergent
-        control input raises :class:`_LaneSplit` mid-instruction.
-        """
-        if self._steps is None:
-            self._compile_steps()
-        self._enter_main()
-        steps = self._steps
-        count = len(self.program.instructions)
-        pc_counts = self.pc_counts
-        max_cycles = self.max_cycles
-        cycle = self.cycle
-        pc = self.pc
-        try:
-            while True:
-                if pc < 0 or pc >= count:
-                    raise SimulationError("pc %d out of range" % pc)
-                pc_counts[pc] += 1
-                cycle += 1
-                self.cycle = cycle
-                if cycle > max_cycles:
-                    raise CycleLimitError(
-                        "exceeded max_cycles=%d" % max_cycles
-                    )
-                self.pc = pc
-                next_pc = steps[pc]()
-                if next_pc is None:
-                    self.locked = False
-                    return None
-                pc = next_pc
-        except _LaneSplit:
-            raise  # not a fault: run_batch falls back
-        except SimulationError as fault:
-            self.pc = pc
-            self.cycle = cycle
-            self.locked = False
-            self._annotate_fault(fault)
-            return fault
-        except Exception as fault:  # noqa: BLE001 — raw machine faults
-            # Non-simulation Python faults (ZeroDivisionError from FDIV,
-            # negative shifts, ...) propagate unannotated from the
-            # scalar backends; report them the same way.
-            return fault
-
-    def _settle_ops(self):
-        widths = self._op_widths
-        self.op_count = sum(
-            executed * widths[index]
-            for index, executed in enumerate(self.pc_counts)
-            if executed
-        )
-
-    def _result(self, pc_counts):
-        return SimulationResult(
-            self.cycle,
-            self.op_count,
-            pc_counts,
-            self.mem_top[_BANK_X] - self.sp_min[_BANK_X],
-            self.mem_top[_BANK_Y] - self.sp_min[_BANK_Y],
-        )
-
     def run(self):
         """Single-instance entry, bit-identical to the interpreter.
 
@@ -626,13 +561,7 @@ class BatchSimulator(FastSimulator):
                 return peer.run()
             finally:
                 self._adopt_state(peer)
-        fault = self._advance()
-        if fault is not None:
-            if isinstance(fault, SimulationError):
-                self._settle_ops()
-            raise fault
-        self._settle_ops()
-        return self._result(self.pc_counts)
+        return self._run_steps()
 
     def run_batch(self):
         """Run every lane; returns one :class:`LaneOutcome` per lane.
@@ -653,16 +582,19 @@ class BatchSimulator(FastSimulator):
         self.fell_back = any(hook is not None for hook in hooks)
         if not self.fell_back:
             try:
-                fault = self._advance()
+                self._run_steps()
             except _LaneSplit:
                 self.fell_back = True
-            else:
-                self.fell_back = self.lanes > 1 and not (
-                    fault is None or isinstance(fault, SimulationError)
-                )
+            except SimulationError as error:
+                fault = error
+            except Exception as error:  # noqa: BLE001 — raw machine faults
+                # Non-simulation Python faults (ZeroDivisionError from
+                # FDIV, negative shifts, ...) may be one lane's alone.
+                fault = error
+                self.fell_back = self.lanes > 1
+                self._settle_counts(False)
         if self.fell_back:
             return [self._run_lane(lane, hook) for lane, hook in enumerate(hooks)]
-        self._settle_ops()
         outcomes = []
         for lane in range(self.lanes):
             outcome = LaneOutcome(lane)
@@ -674,5 +606,3 @@ class BatchSimulator(FastSimulator):
             outcomes.append(outcome)
         return outcomes
 
-
-BACKENDS["batch"] = BatchSimulator

@@ -1,15 +1,16 @@
-"""Threaded-code fast backend for the instruction-set simulator.
+"""Shared codegen base of the compiled simulator backends.
 
 The reference :class:`~repro.sim.simulator.Simulator` re-dispatches on
 micro-operation kind strings and calls per-operand reader closures every
-cycle.  This backend instead compiles each :class:`LongInstruction` into a
-single specialized Python closure when ``run()`` first touches the
-program: operand reads, effective-address computation, bounds checks,
-evaluator arithmetic, and commit logic are generated as straight-line
-source (one function per instruction, bound constants become closure
-cells), and the whole program is ``exec``-compiled in a single batch.
-The run loop then threads through those closures — one call per cycle,
-no dispatch, no tuple unpacking.
+cycle.  The compiled backends (``jit`` in :mod:`repro.sim.loopjit`,
+``batch`` in :mod:`repro.sim.batchsim`) instead turn each
+:class:`LongInstruction` into straight-line Python source: operand
+reads, effective-address computation, bounds checks, evaluator
+arithmetic, and commit logic are generated per instruction (bound
+constants become closure cells), and a whole table of closures is
+``exec``-compiled in a single batch.  :class:`FastSimulator` holds that
+codegen plus the one *stepped* dispatch loop (:meth:`FastSimulator
+._run_steps`, one closure call per cycle) that both backends share.
 
 Semantics are bit-identical to the reference interpreter by construction
 and verified by ``tests/sim/test_fastsim_equivalence.py``:
@@ -23,10 +24,10 @@ and verified by ``tests/sim/test_fastsim_equivalence.py``:
   accounting all match the reference backend exactly.
 
 Profiling (:mod:`repro.obs.profile`) is a post-run analysis over the
-settled ``pc_counts``, so the fused superblock path stays fused whether
-or not a run is later profiled: during the run only superblock leaders
-are counted, and ``_settle_counts`` propagates the interior counts
-before ``run()`` returns.
+settled ``pc_counts``, so the jit backend's fused superblock path stays
+fused whether or not a run is later profiled: during the run only
+superblock leaders are counted, and ``_settle_counts`` propagates the
+interior counts before ``run()`` returns.
 """
 
 import math
@@ -161,14 +162,13 @@ class _CodeBuilder:
 
 
 class FastSimulator(Simulator):
-    """Drop-in replacement for :class:`Simulator` using threaded code.
+    """Codegen base of the ``jit`` and ``batch`` backends (not a backend).
 
     Shares the whole :class:`Simulator` state and helper surface
     (``read_global``/``write_global``, call/return bookkeeping, interrupt
-    hooks) — only decoding and the run loop differ.
+    hooks); subclasses supply ``run()`` on top of the generated step and
+    superblock tables and the shared stepped loop.
     """
-
-    backend_name = "fast"
 
     #: opcode -> expression template tables; class attributes so
     #: subclasses (the batch backend) can substitute vector-safe forms
@@ -193,6 +193,9 @@ class FastSimulator(Simulator):
         self._loop_end_pcs = frozenset(
             end for _start, end in self.program.loops.values()
         )
+        #: one-element list holding the running cycle count; generated
+        #: loop closures and the dispatch loops share it
+        self._cycle_cell = [0]
 
     def _leaders(self):
         """Superblock leader pcs: every possible control-transfer target
@@ -463,24 +466,15 @@ class FastSimulator(Simulator):
             cb.writes.append("SIM.locked = %r" % lock_transition)
         return control_op, width
 
-    def _exec_batch(self, pieces, bindings):
-        """One ``compile()``/``exec`` for a whole table of step factories.
-
-        Batch compilation amortizes the CPython parser/codegen overhead
-        that would otherwise dominate per-instruction compilation; the
-        returned dict maps each key in *bindings* to its bound closure.
-        """
-        code = compile("\n".join(pieces), "<fastsim>", "exec")
-        return self._exec_code(code, bindings)
-
-    def _exec_namespace(self):
-        """Globals visible to generated code (helper functions for
-        subclasses; the scalar backends need none)."""
-        return {}
-
     def _exec_code(self, code, bindings):
-        """Bind a compiled factory batch to *this* simulator's state."""
-        namespace = self._exec_namespace()
+        """Bind a compiled factory batch to *this* simulator's state.
+
+        One ``compile()`` per table of step factories amortizes the
+        CPython parser/codegen overhead that would otherwise dominate
+        per-instruction compilation; the returned dict maps each key in
+        *bindings* to its bound closure.
+        """
+        namespace = {}
         exec(code, namespace)
         fixed_args = self._fixed_args()
         return {
@@ -517,8 +511,8 @@ class FastSimulator(Simulator):
         )
 
     def _compile_steps(self):
-        """Per-instruction step table (used when an interrupt hook needs
-        control between every cycle)."""
+        """Per-instruction step table (the stepped loop's: hooked jit
+        runs and batch lockstep)."""
         cache = self._codegen_cache()
         # check_bounds changes the emitted source (the bounds-check reads
         # are conditional), so it must key the cached batch: two
@@ -550,7 +544,7 @@ class FastSimulator(Simulator):
 
     def _compile_blocks(self):
         """Superblock table: maximal straight-line instruction runs fused
-        into single closures (used on the hook-free fast path).
+        into single closures (used on jit's hook-free fused path).
 
         Each block executes atomically from its leader; per-pc execution
         counts for the interior follow from the leader's count, so the
@@ -602,81 +596,76 @@ class FastSimulator(Simulator):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self):
-        """Execute until HALT; returns a :class:`SimulationResult`."""
-        fused = self.interrupt_hook is None
-        if fused and self._blocks is None:
-            self._compile_blocks()
-        elif not fused and self._steps is None:
+    def _run_steps(self, hook=None, chunks=None):
+        """The stepped loop: one step closure per cycle, until HALT.
+
+        *hook* (if any) is called after every cycle outside a store-lock
+        window, exactly as the reference interpreter delivers it.
+        *chunks* maps a loop start pc to ``(closure, end pc)``: when the
+        armed loop record matches, the closure consumes iterations in
+        bulk and returns the next pc (jit's cadence-chunked loops).  A
+        :class:`SimulationError` settles the state and propagates; any
+        other exception propagates unsettled, as from the interpreter.
+        """
+        if self._steps is None:
             self._compile_steps()
         self._enter_main()
         count = len(self.program.instructions)
         pc_counts = self.pc_counts
-        hook = self.interrupt_hook
         max_cycles = self.max_cycles
-        cycle = 0
+        steps = self._steps
+        chunks = chunks or {}
+        cell = self._cycle_cell
+        LS = self.loop_stack
+        cycle = cell[0] = self.cycle
         pc = self.pc
         try:
-            if fused:
-                # Tight path: one closure call per superblock.  ``self.pc``
-                # and ``self.cycle`` are only observable through hooks and
-                # faults, so both live in locals and settle on exit.  The
-                # max_cycles check runs per block, so the error can fire up
-                # to one block early relative to the reference interpreter
-                # (error path only; completed runs are cycle-exact).
-                blocks = self._blocks
-                lens = self._block_lens
-                while True:
-                    if pc < 0 or pc >= count:
-                        raise SimulationError("pc %d out of range" % pc)
-                    step = blocks[pc]
-                    if step is None:
-                        raise SimulationError("pc %d out of range" % pc)
-                    cycle += lens[pc]
-                    if cycle > max_cycles:
-                        raise CycleLimitError(
-                            "exceeded max_cycles=%d" % max_cycles
-                        )
-                    pc_counts[pc] += 1
-                    next_pc = step()
-                    if next_pc is None:
-                        break
-                    pc = next_pc
-            else:
-                steps = self._steps
-                while True:
-                    if pc < 0 or pc >= count:
-                        raise SimulationError("pc %d out of range" % pc)
-                    pc_counts[pc] += 1
-                    cycle += 1
-                    self.cycle = cycle
-                    if cycle > max_cycles:
-                        raise CycleLimitError(
-                            "exceeded max_cycles=%d" % max_cycles
-                        )
+            while True:
+                if pc < 0 or pc >= count:
+                    raise SimulationError("pc %d out of range" % pc)
+                if pc in chunks and LS:
+                    entry, end = chunks[pc]
+                    rec = LS[-1]
+                    if rec[0] == pc and rec[1] == end:
+                        cell[0] = cycle
+                        pc = entry()
+                        cycle = cell[0]
+                        continue
+                pc_counts[pc] += 1
+                cycle += 1
+                self.cycle = cycle
+                if cycle > max_cycles:
+                    raise CycleLimitError(
+                        "exceeded max_cycles=%d" % max_cycles
+                    )
+                self.pc = pc
+                next_pc = steps[pc]()
+                if next_pc is None:
+                    break
+                pc = next_pc
+                if hook is not None and not self.locked:
                     self.pc = pc
-                    next_pc = steps[pc]()
-                    if next_pc is None:
-                        break
-                    pc = next_pc
-                    if not self.locked:
-                        self.pc = pc
-                        hook(self, cycle)
-                        pc = self.pc
+                    hook(self, cycle)
+                    pc = self.pc
         except SimulationError as fault:
             self.pc = pc
-            self.cycle = cycle
+            # a chunk closure that faulted has already advanced the cell
+            self.cycle = max(cycle, cell[0])
             self.locked = False
-            self._settle_counts(fused)
+            self._settle_counts(False)
             self._annotate_fault(fault)
             raise
         self.cycle = cycle
         self.locked = False
-        self._settle_counts(fused)
+        self._settle_counts(False)
+        return self._result()
+
+    def _result(self, pc_counts=None):
+        """The run's :class:`SimulationResult` from the settled state."""
         return SimulationResult(
             self.cycle,
             self.op_count,
-            pc_counts,
+            self.pc_counts if pc_counts is None else pc_counts,
             self.mem_top[_BANK_X] - self.sp_min[_BANK_X],
             self.mem_top[_BANK_Y] - self.sp_min[_BANK_Y],
         )
@@ -703,38 +692,3 @@ class FastSimulator(Simulator):
             for index, executed in enumerate(pc_counts)
             if executed
         )
-
-
-#: backend name -> simulator class (``jit`` self-registers on import below)
-BACKENDS = {"interp": Simulator, "fast": FastSimulator}
-
-
-def make_simulator(program, backend="interp", **kwargs):
-    """Instantiate the simulator backend named *backend*.
-
-    ``interp`` is the reference per-cycle
-    :class:`~repro.sim.simulator.Simulator`; ``fast`` is the
-    threaded-code :class:`FastSimulator`; ``jit`` is the
-    loop-specializing :class:`~repro.sim.loopjit.LoopJitSimulator`.
-    All honour the same constructor keywords (``stack_words``,
-    ``max_cycles``, ``interrupt_hook``, ``check_bounds``) and produce
-    bit-identical :class:`~repro.sim.simulator.SimulationResult`, per-pc
-    counts, and final machine state, so callers may switch freely.
-    Raises :class:`ValueError` for an unknown backend name;
-    :data:`BACKENDS` lists the valid ones.
-    """
-    try:
-        cls = BACKENDS[backend]
-    except KeyError:
-        raise ValueError(
-            "unknown simulator backend %r (choose from: %s)"
-            % (backend, ", ".join(sorted(BACKENDS)))
-        )
-    return cls(program, **kwargs)
-
-
-# Imported for its side effect: repro.sim.loopjit adds "jit" to BACKENDS.
-# A plain (not from-) import keeps the circular dependency benign no
-# matter which of the two modules is imported first.
-import repro.sim.loopjit  # noqa: E402,F401
-import repro.sim.batchsim  # noqa: E402,F401  (adds "batch" to BACKENDS)

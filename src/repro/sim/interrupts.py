@@ -13,15 +13,16 @@ and can optionally *write* to a duplicated global through both copies,
 modelling an interrupt handler that feeds external data to the program.
 
 Cadence protocol (used by the ``jit`` backend, see
-:mod:`repro.sim.loopjit`): a hook may advertise an integer ``cadence``
-attribute, promising that calls on cycles where
-``cycle % cadence != 0`` are no-ops.  A cadence-advertising hook lets
-the loop-specializing backend fast-forward whole loop iterations
-between delivery cycles, synchronizing simulator state only at the
-cycles where the hook can actually observe something.  Such hooks may
-read and write memory and registers at delivery points but must not
-redirect ``pc``; hooks without a cadence get the per-cycle path on
-every backend.
+:mod:`repro.sim.loopjit`; hooked ``batch`` lanes run on ``jit``): a
+hook may advertise an integer ``cadence`` attribute, promising that
+calls on cycles where ``cycle % cadence != 0`` are no-ops.  A
+cadence-advertising hook lets the loop-specializing backend
+fast-forward whole loop iterations between delivery cycles,
+synchronizing simulator state only at the cycles where the hook can
+actually observe something.  Such hooks may read and write memory and
+registers at delivery points but must not redirect ``pc``; hooks
+without a cadence are called after every cycle on every backend
+(``interp``'s loop, ``jit``'s stepped loop).
 """
 
 from repro.ir.symbols import MemoryBank

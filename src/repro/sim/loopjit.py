@@ -1,7 +1,8 @@
-"""Loop-specializing codegen backend: whole hardware loops per dispatch.
+"""Loop-specializing codegen backend (``jit``): whole hardware loops per
+dispatch.
 
-The threaded-code :class:`~repro.sim.fastsim.FastSimulator` still pays
-one Python closure call per simulated cycle and re-enters the dispatch
+Threaded code built by :class:`~repro.sim.fastsim.FastSimulator` still
+pays one Python closure call per superblock and re-enters the dispatch
 loop on every zero-overhead hardware-loop back-edge, so the hottest
 cycles of the paper's loop-dominated DSP kernels are the most expensive
 to simulate.  This backend generates Python source per hardware-loop
@@ -33,23 +34,23 @@ Specializability analysis (per loop region ``[start, end]``):
   the back-edge cascade through several loop records at one pc, which
   the structural ``for`` translation cannot express.
 
-Everything else falls back: unspecializable loops run on the inherited
-fused-superblock path, hooks without a ``cadence`` run on the inherited
-per-cycle step path (bit-exact hook visibility), and a loop record that
-does not match a compiled entry is simply dispatched normally.  The
+Everything else falls back: unspecializable loops run on the fused
+superblock path, hooks without a ``cadence`` run on the inherited
+per-cycle stepped loop (bit-exact hook visibility), and a loop record
+that does not match a compiled entry is simply dispatched normally.  The
 guard rails of :mod:`repro.sim.fastsim` carry over unchanged — control
 transfers override the loop back-edge, and loop-final instructions keep
 their back-edge-vs-taken-branch semantics — because unspecializable
 shapes never reach the generated loop bodies.
 
-Error-path divergence (same contract as the fast backend, documented
-there): on ``max_cycles`` overruns and machine faults the cycle counter
-and per-pc counts may overshoot by up to the remaining iterations of
-the specialized loop, and ``pc`` settles on the loop entry rather than
-the exact faulting instruction.  Completed runs are bit-identical —
-cycles, operations, ``pc_counts``, memory, registers, and the
-full-state digest — which is what the differential fuzz oracle and the
-equivalence suites verify.
+Error-path divergence: on ``max_cycles`` overruns and machine faults the
+cycle counter and per-pc counts may overshoot by up to the remaining
+iterations of the specialized loop (the fused path checks ``max_cycles``
+per superblock, so it can fire up to one block early), and ``pc``
+settles on the loop entry rather than the exact faulting instruction.
+Completed runs are bit-identical — cycles, operations, ``pc_counts``,
+memory, registers, and the full-state digest — which is what the
+differential fuzz oracle and the equivalence suites verify.
 
 Interrupt protocol for cadence hooks: the hook promises to be a no-op
 whenever ``cycle % cadence != 0`` (so skipped calls are unobservable),
@@ -67,19 +68,8 @@ fields.
 import re
 
 from repro.ir.operations import OpCode
-from repro.sim.fastsim import (
-    BACKENDS,
-    FastSimulator,
-    _CodeBuilder,
-    _FIXED_PARAMS,
-)
-from repro.sim.simulator import (
-    CycleLimitError,
-    SimulationError,
-    SimulationResult,
-    _BANK_X,
-    _BANK_Y,
-)
+from repro.sim.fastsim import FastSimulator, _CodeBuilder, _FIXED_PARAMS
+from repro.sim.simulator import CycleLimitError, SimulationError
 
 #: register / stack-pointer references in generated code, for promotion
 _REG_REF = re.compile(r"\b(RA|RI|RF|SP)\[(\d+)\]")
@@ -103,20 +93,19 @@ class _Nest:
 
 
 class LoopJitSimulator(FastSimulator):
-    """Drop-in replacement for :class:`FastSimulator` that executes
-    whole hardware loops per dispatch.
+    """Drop-in replacement for :class:`Simulator` that executes whole
+    hardware loops per dispatch.
 
-    Three execution modes, chosen by the installed interrupt hook:
+    Two loops, chosen by the installed interrupt hook:
 
-    * no hook — fused superblocks plus a loop-entry overlay: when the
-      dispatch loop reaches a compiled loop's start pc with that loop's
+    * no hook — the fused loop: superblocks plus a loop-entry overlay;
+      when it reaches a compiled loop's start pc with that loop's
       record armed on top of the stack, one closure call consumes every
       remaining iteration;
-    * hook with an integer ``cadence`` attribute — the per-instruction
-      step table plus chunked loop closures that fast-forward between
-      delivery cycles;
-    * any other hook — the inherited per-cycle
-      :meth:`FastSimulator.run` path (hook sees every cycle).
+    * any hook — the inherited stepped loop
+      (:meth:`FastSimulator._run_steps`), which calls the hook after
+      every cycle; a hook with an integer ``cadence`` attribute adds
+      chunked loop closures that fast-forward between delivery cycles.
     """
 
     backend_name = "jit"
@@ -127,15 +116,12 @@ class LoopJitSimulator(FastSimulator):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        #: one-element list holding the running cycle count; generated
-        #: loop closures and the dispatch loop share it
-        self._cycle_cell = [0]
         #: pc -> loop closure (hook-free mode), parallel end-pc table
         self._entries = None
         self._entry_ends = None
-        #: pc -> chunked loop closure (cadence mode), compiled per hook
-        self._chunk_entries = None
-        self._chunk_ends = None
+        #: start pc -> (chunked loop closure, end pc) (cadence mode),
+        #: compiled per (hook, cadence) signature
+        self._chunks = None
         self._chunk_sig = None
         self._nest_cache = None
         #: pc -> register refs ("RA[3]", "SP[0]", ...) that pc touches;
@@ -536,27 +522,23 @@ class LoopJitSimulator(FastSimulator):
         return cb
 
     def _compile_chunk_loops(self, hook, period):
-        count = len(self.program.instructions)
-        keys = [None] * count
-        ends = [0] * count
         pieces = []
         bindings = []
+        ends = {}
         for start, nest in self._nests().items():
             if nest.children:
                 # Outer levels of a nest run per-cycle under a hook;
                 # the innermost loops still chunk via their own entry.
                 continue
-            key = "chunk_%d" % start
             cb = self._chunk_builder(nest, hook, period)
-            pieces.append(self._factory(key, cb))
-            bindings.append((key, cb.args))
-            keys[start] = key
+            pieces.append(self._factory(start, cb))
+            bindings.append((start, cb.args))
             ends[start] = nest.end
-        closures = self._exec_batch(pieces, bindings) if pieces else {}
-        self._chunk_entries = [
-            closures[k] if k is not None else None for k in keys
-        ]
-        self._chunk_ends = ends
+        code = compile("\n".join(pieces), "<loopjit>", "exec")
+        closures = self._exec_code(code, bindings)
+        self._chunks = {
+            start: (closures[start], end) for start, end in ends.items()
+        }
         # Hold the hook itself (not id(hook)): a recycled id after the
         # original hook is garbage-collected must not satisfy the
         # signature check and reuse closures bound to the dead hook.
@@ -581,18 +563,20 @@ class LoopJitSimulator(FastSimulator):
     def run(self):
         """Execute until HALT; returns a :class:`SimulationResult`."""
         hook = self.interrupt_hook
-        if hook is not None:
-            cadence = getattr(hook, "cadence", None)
-            if (
-                isinstance(cadence, int)
-                and not isinstance(cadence, bool)
-                and cadence > 0
-            ):
-                return self._run_cadence(hook, cadence)
-            # Arbitrary hooks see every cycle: inherit the per-cycle
-            # step path, bit-exact with the reference interpreter.
-            return super().run()
-        return self._run_fused()
+        if hook is None:
+            return self._run_fused()
+        cadence = getattr(hook, "cadence", None)
+        if not (
+            isinstance(cadence, int)
+            and not isinstance(cadence, bool)
+            and cadence > 0
+        ):
+            # Arbitrary hooks see every cycle: no chunked loops.
+            return self._run_steps(hook)
+        sig = self._chunk_sig
+        if sig is None or sig[0] is not hook or sig[1] != cadence:
+            self._compile_chunk_loops(hook, cadence)
+        return self._run_steps(hook, self._chunks)
 
     def _run_fused(self):
         if self._blocks is None:
@@ -644,76 +628,4 @@ class LoopJitSimulator(FastSimulator):
         self.cycle = cell[0]
         self.locked = False
         self._settle_counts(True)
-        return SimulationResult(
-            self.cycle,
-            self.op_count,
-            pc_counts,
-            self.mem_top[_BANK_X] - self.sp_min[_BANK_X],
-            self.mem_top[_BANK_Y] - self.sp_min[_BANK_Y],
-        )
-
-    def _run_cadence(self, hook, period):
-        if self._steps is None:
-            self._compile_steps()
-        sig = self._chunk_sig
-        if sig is None or sig[0] is not hook or sig[1] != period:
-            self._compile_chunk_loops(hook, period)
-        self._enter_main()
-        count = len(self.program.instructions)
-        pc_counts = self.pc_counts
-        max_cycles = self.max_cycles
-        steps = self._steps
-        entries = self._chunk_entries
-        ends = self._chunk_ends
-        cell = self._cycle_cell
-        LS = self.loop_stack
-        cycle = self.cycle
-        pc = self.pc
-        try:
-            while True:
-                if pc < 0 or pc >= count:
-                    raise SimulationError("pc %d out of range" % pc)
-                entry = entries[pc]
-                if entry is not None and LS:
-                    rec = LS[-1]
-                    if rec[0] == pc and rec[1] == ends[pc]:
-                        cell[0] = cycle
-                        pc = entry()
-                        cycle = cell[0]
-                        continue
-                pc_counts[pc] += 1
-                cycle += 1
-                self.cycle = cycle
-                if cycle > max_cycles:
-                    raise CycleLimitError(
-                        "exceeded max_cycles=%d" % max_cycles
-                    )
-                self.pc = pc
-                next_pc = steps[pc]()
-                if next_pc is None:
-                    break
-                pc = next_pc
-                if not self.locked:
-                    self.pc = pc
-                    hook(self, cycle)
-                    pc = self.pc
-        except SimulationError as fault:
-            self.pc = pc
-            self.cycle = max(cycle, cell[0])
-            self.locked = False
-            self._settle_counts(False)
-            self._annotate_fault(fault)
-            raise
-        self.cycle = cycle
-        self.locked = False
-        self._settle_counts(False)
-        return SimulationResult(
-            self.cycle,
-            self.op_count,
-            pc_counts,
-            self.mem_top[_BANK_X] - self.sp_min[_BANK_X],
-            self.mem_top[_BANK_Y] - self.sp_min[_BANK_Y],
-        )
-
-
-BACKENDS["jit"] = LoopJitSimulator
+        return self._result()

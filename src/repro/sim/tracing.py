@@ -1,14 +1,14 @@
 """Profiling support: post-run attribution over ``pc_counts``.
 
 This module is the simulators' profiling hook surface: every backend
-records per-pc execution counts during every run (the fast backend
-settles its fused superblocks' interior counts before returning; the
-jit backend adds whole-loop iteration counts in bulk), and
+records per-pc execution counts during every run (the jit backend
+settles its fused superblocks' interior counts before returning and
+adds whole-loop iteration counts in bulk), and
 everything else — block counts for the ``Pr`` configuration, hot-block
 rollups, the :mod:`repro.obs.profile` conflict ledger — is derived here
 *after* the run from ``(program, result)``.  Keeping attribution
 post-run means profiling can never perturb what it measures and the
-fast backend's fused path stays fused.
+jit backend's fused path stays fused.
 
 The ``Pr`` configuration of paper Figure 8 replaces the static loop-depth
 edge weights with profile-driven ones.  The natural profile is the number

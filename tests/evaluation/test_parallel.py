@@ -73,7 +73,7 @@ def _machine_fault(_x):
     error = SimulationError("memory bank exploded")
     error.pc = 7
     error.cycle = 11
-    error.backend = "fast"
+    error.backend = "jit"
     raise error
 
 
@@ -137,11 +137,11 @@ def test_parallel_matches_serial_bit_for_bit():
     """Workers rebuild workloads from the registry and recompute profile
     counts independently; every pipeline stage is deterministic, so the
     fanned-out measurements must equal the serial ones — including the
-    profile-driven configuration and the fast backend."""
+    profile-driven configuration and the jit backend."""
     names = ["fir_32_1", "mult_4_4"]
     serial = evaluate_workloads(KERNELS, names, STRATEGIES)
     parallel = evaluate_workloads(
-        KERNELS, names, STRATEGIES, jobs=2, backend="fast"
+        KERNELS, names, STRATEGIES, jobs=2, backend="jit"
     )
     for name in names:
         for strategy in (Strategy.SINGLE_BANK,) + STRATEGIES:
@@ -249,7 +249,7 @@ def test_sim_faults_keep_taxonomy_through_supervisor():
     fault = excinfo.value
     assert fault.pc == 7
     assert fault.cycle == 11
-    assert fault.backend == "fast"
+    assert fault.backend == "jit"
     assert fault.remote_traceback and "SimulationError" in fault.remote_traceback
     _assert_no_orphans()
 
@@ -271,7 +271,7 @@ def test_parallel_map_reraises_sim_faults_with_context():
     fault = excinfo.value
     assert fault.pc == 7
     assert fault.cycle == 11
-    assert fault.backend == "fast"
+    assert fault.backend == "jit"
     assert fault.remote_traceback and "SimulationError" in fault.remote_traceback
     _assert_no_orphans()
 

@@ -40,7 +40,7 @@ def test_divergent_classification_raises(monkeypatch):
     with pytest.raises(OracleViolation) as excinfo:
         check_fault_identity(
             recipe, 0, strategies=(Strategy.SINGLE_BANK,),
-            backends=("interp", "fast"),
+            backends=("interp", "jit"),
         )
     assert excinfo.value.stage == "fault-identity"
     assert excinfo.value.recipe is recipe

@@ -12,7 +12,7 @@ from repro.compiler import CompileOptions, compile_module
 from repro.obs.core import Recorder
 from repro.obs.profile import profile_run
 from repro.partition.strategies import Strategy
-from repro.sim.fastsim import BACKENDS, make_simulator
+from repro.sim import BACKENDS, make_simulator
 
 
 def _compile(module, observe=None):
@@ -64,7 +64,7 @@ def test_backends_bit_identical_with_and_without_profiling(
 
 def test_profile_run_leaves_result_counts_untouched(dot_product_module):
     compiled = _compile(dot_product_module())
-    simulator = make_simulator(compiled.program, backend="fast")
+    simulator = make_simulator(compiled.program, backend="jit")
     result = simulator.run()
     snapshot = list(result.pc_counts)
     profile = profile_run(compiled.program, result)

@@ -34,6 +34,7 @@ def test_explicit_fields_survive():
     ))
     assert job["id"] == "17"  # ids normalize to strings
     assert job["strategy"] == "CB_DUP"
+    assert job["backend"] == "jit"  # the retired `fast` is a wire alias
     assert job["writes"] == {"x": [1, 2]}
     assert job["reads"] == ["y"]
 

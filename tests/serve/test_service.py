@@ -49,6 +49,7 @@ def test_mixed_jobs_bit_identical_to_direct_runs(tmp_path):
                 "kind": "run", "workload": workload, "strategy": strategy,
             })
     jobs.append({"kind": "run", "workload": "fir_32_1", "backend": "fast"})
+    jobs.append({"kind": "run", "workload": "fir_32_1", "backend": "jit"})
     jobs.append({"kind": "run", "workload": "fir_32_1",
                  "strategy": "CB_PROFILE"})
     jobs.append({"kind": "recipe", "recipe": {"seed": 5},
@@ -68,6 +69,15 @@ def test_mixed_jobs_bit_identical_to_direct_runs(tmp_path):
         assert event["digest"] == reference["digest"]
         assert event["outputs"] == reference["outputs"]
         assert event["latency_s"] >= 0
+    # the retired `fast` name runs on jit (or on batch when coalesced)
+    fast = next(e for j, e in zip(jobs, events) if j.get("backend") == "fast")
+    jit = next(e for j, e in zip(jobs, events) if j.get("backend") == "jit")
+    assert fast["obs"]["backend_executed"] == (
+        "jit" if fast["obs"]["group"] == 1 else "batch"
+    )
+    assert fast["digest"] == jit["digest"]
+    direct = _direct({"kind": "run", "workload": "fir_32_1", "backend": "fast"})
+    assert direct["obs"]["backend_executed"] == "jit"
 
 
 def test_writes_change_results_identically(tmp_path):

@@ -22,7 +22,7 @@ from repro.frontend import ProgramBuilder
 from repro.fuzz.generator import Recipe, build_module, generate_recipe
 from repro.partition.strategies import Strategy
 from repro.sim.batchsim import BatchSimulator
-from repro.sim.fastsim import BACKENDS, make_simulator
+from repro.sim import BACKENDS, make_simulator
 from repro.sim.interrupts import InterruptInjector
 from repro.sim.simulator import SimulationError, Simulator
 from repro.workloads.kernels.fir import Fir

@@ -16,7 +16,7 @@ import pytest
 from repro.compiler import compile_module
 from repro.frontend import ProgramBuilder
 from repro.partition.strategies import Strategy
-from repro.sim.fastsim import make_simulator
+from repro.sim import make_simulator
 from repro.sim.interrupts import InterruptInjector
 from repro.sim.simulator import SimulationError, Simulator
 
@@ -35,7 +35,7 @@ def _oob_module():
     return pb.build()
 
 
-@pytest.mark.parametrize("backend", ["fast", "jit", "batch"])
+@pytest.mark.parametrize("backend", ["jit", "batch"])
 def test_cached_program_does_not_leak_disabled_bounds_checks(backend):
     """A relaxed (check_bounds=False) run must not poison the cache for
     a later strict simulator over the same program object."""
@@ -50,7 +50,7 @@ def test_cached_program_does_not_leak_disabled_bounds_checks(backend):
         strict.run()
 
 
-@pytest.mark.parametrize("backend", ["fast", "jit", "batch"])
+@pytest.mark.parametrize("backend", ["jit", "batch"])
 def test_cached_program_does_not_leak_enabled_bounds_checks(backend):
     """...and the reverse order: a strict run first must not make the
     relaxed simulator fault."""
@@ -116,12 +116,12 @@ def test_max_cycles_and_bounds_key_the_shared_cache():
     """Distinct (max_cycles, check_bounds) configurations coexist in one
     program's cache without evicting or colliding with each other."""
     compiled = compile_module(_oob_module(), strategy=Strategy.SINGLE_BANK)
-    make_simulator(compiled.program, backend="fast", check_bounds=False).run()
+    make_simulator(compiled.program, backend="jit", check_bounds=False).run()
     with pytest.raises(SimulationError):
-        make_simulator(compiled.program, backend="fast").run()
+        make_simulator(compiled.program, backend="jit").run()
     # the relaxed closures must still be intact after the strict compile
     again = make_simulator(
-        compiled.program, backend="fast", check_bounds=False
+        compiled.program, backend="jit", check_bounds=False
     )
     again.run()
     assert again.read_global("out") == 7.0

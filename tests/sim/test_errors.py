@@ -35,17 +35,17 @@ def test_classify_fault_wraps_and_preserves_context():
     original = SimulationError("bad address 99")
     original.pc = 7
     original.cycle = 11
-    original.backend = "fast"
+    original.backend = "jit"
     wrapped = classify_fault(original, seed=5)
     assert isinstance(wrapped, MachineError)
     assert wrapped.pc == 7
     assert wrapped.cycle == 11
-    assert wrapped.backend == "fast"
+    assert wrapped.backend == "jit"
     assert wrapped.seed == 5
     assert wrapped.__cause__ is original
     text = str(wrapped)
     assert "bad address 99" in text
-    assert "machine" in text and "pc=7" in text and "backend=fast" in text
+    assert "machine" in text and "pc=7" in text and "backend=jit" in text
 
 
 def test_classify_fault_is_idempotent():
@@ -90,13 +90,13 @@ def test_simulator_annotates_faults_in_flight():
     the backend that faulted (the context classify_fault preserves)."""
     from repro.compiler import compile_module
     from repro.partition.strategies import Strategy
-    from repro.sim.fastsim import make_simulator
+    from repro.sim import make_simulator
     from repro.workloads.kernels.fir import Fir
 
     program = compile_module(
         Fir(32, 1).build(), strategy=Strategy.CB
     ).program
-    for backend in ("interp", "fast", "jit", "batch"):
+    for backend in ("interp", "jit", "batch"):
         simulator = make_simulator(program, backend=backend, max_cycles=5)
         with pytest.raises(CycleLimitError) as excinfo:
             simulator.run()

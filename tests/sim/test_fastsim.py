@@ -1,8 +1,8 @@
-"""Fast-backend unit tests and simulator control-flow regressions.
+"""Backend selection and simulator control-flow regressions.
 
-The control-flow and store-lock regressions run on *both* backends: the
+The control-flow and store-lock regressions run on every backend: the
 underlying bugs were in the reference interpreter's run loop, and the
-threaded-code backend must agree with the fixed semantics.
+codegen backends must agree with the fixed semantics.
 """
 
 import pytest
@@ -13,11 +13,11 @@ from repro.ir.operations import OpCode, Operation
 from repro.ir.values import Immediate, Label
 from repro.machine.resources import FunctionalUnit
 from repro.partition.strategies import Strategy
-from repro.sim.fastsim import BACKENDS, FastSimulator, make_simulator
+from repro.sim import BACKENDS, make_simulator
 from repro.sim.loopjit import LoopJitSimulator
 from repro.sim.simulator import SimulationError, Simulator
 
-BOTH_BACKENDS = sorted(BACKENDS)
+ALL_BACKENDS = sorted(BACKENDS)
 
 
 # ----------------------------------------------------------------------
@@ -27,19 +27,11 @@ def test_make_simulator_factory(dot_product_module):
     program = compile_module(dot_product_module()).program
     assert type(make_simulator(program)) is Simulator
     assert type(make_simulator(program, backend="interp")) is Simulator
-    assert type(make_simulator(program, backend="fast")) is FastSimulator
     assert type(make_simulator(program, backend="jit")) is LoopJitSimulator
-    with pytest.raises(ValueError, match="unknown simulator backend"):
-        make_simulator(program, backend="turbo")
-
-
-def test_fast_simulator_shares_result_contract(dot_product_module):
-    program = compile_module(dot_product_module()).program
-    expected = Simulator(program).run()
-    actual = FastSimulator(program).run()
-    assert actual.cycles == expected.cycles
-    assert actual.operations == expected.operations
-    assert actual.parallelism == expected.parallelism
+    # "fast" is retired: only the serve protocol still maps it to jit
+    for retired in ("turbo", "fast"):
+        with pytest.raises(ValueError, match="unknown simulator backend"):
+            make_simulator(program, backend=retired)
 
 
 # ----------------------------------------------------------------------
@@ -80,7 +72,7 @@ def _loop_with_branch_out():
     return program
 
 
-@pytest.mark.parametrize("backend", BOTH_BACKENDS)
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
 def test_taken_branch_in_loop_final_instruction_wins(backend):
     program = _loop_with_branch_out()
     simulator = make_simulator(program, backend=backend)
@@ -93,7 +85,7 @@ def test_taken_branch_in_loop_final_instruction_wins(backend):
 def test_branch_out_of_loop_identical_across_backends():
     results = {
         backend: make_simulator(_loop_with_branch_out(), backend=backend).run()
-        for backend in BOTH_BACKENDS
+        for backend in ALL_BACKENDS
     }
     reference = results["interp"]
     for result in results.values():
@@ -179,14 +171,14 @@ def _open_window_program():
     return program
 
 
-@pytest.mark.parametrize("backend", BOTH_BACKENDS)
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
 def test_locked_window_resets_on_halt(backend):
     simulator = make_simulator(_open_window_program(), backend=backend)
     simulator.run()
     assert simulator.locked is False
 
 
-@pytest.mark.parametrize("backend", BOTH_BACKENDS)
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
 def test_locked_window_resets_on_simulation_error(backend):
     simulator = make_simulator(
         _open_window_program(), backend=backend, max_cycles=40

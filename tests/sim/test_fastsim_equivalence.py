@@ -1,7 +1,7 @@
 """Differential testing: the compiled backends against the reference.
 
 Every (workload, strategy) pair is compiled once and simulated on every
-backend; the fast and jit backends must be bit-identical to the
+backend; the jit and batch backends must be bit-identical to the
 reference interpreter — same cycle count, same operation total, same
 per-pc execution counts, same stack peaks, and the same final memory
 and register-file state.
@@ -16,7 +16,7 @@ import pytest
 
 from repro.compiler import CompileOptions, compile_module
 from repro.partition.strategies import Strategy
-from repro.sim.fastsim import make_simulator
+from repro.sim import make_simulator
 from repro.sim.simulator import Simulator
 from repro.sim.tracing import collect_block_counts
 from repro.workloads.registry import APPLICATIONS, KERNELS, get_workload
@@ -50,7 +50,7 @@ def _measure(workload, strategy, backend):
 def _assert_equivalent(name, strategy):
     workload = get_workload(name)
     reference, expected = _measure(workload, strategy, "interp")
-    for backend in ("fast", "jit", "batch"):
+    for backend in ("jit", "batch"):
         compiled_sim, actual = _measure(workload, strategy, backend)
         label = "%s/%s/%s" % (name, strategy.name, backend)
         assert actual.cycles == expected.cycles, label

@@ -5,8 +5,8 @@ backends must classify the faulted run identically, and completed runs
 must be bit-identical in architectural state and injector record —
 because injection rides the cadence hook protocol whose delivery cycles
 are already proven identical by the interrupt suite.  Crash/hang runs
-compare by outcome class and error category only (the fast backends
-check max_cycles at block granularity by design).
+compare by outcome class and error category only (the jit backend
+checks max_cycles at block granularity by design).
 """
 
 import pytest
@@ -24,7 +24,7 @@ from repro.workloads.kernels.autocorr import Autocorr
 from repro.workloads.kernels.fir import Fir
 from repro.workloads.kernels.iir import Iir
 
-BACKENDS = ("interp", "fast", "jit", "batch")
+BACKENDS = ("interp", "jit", "batch")
 
 
 def _programs(workload, strategy):

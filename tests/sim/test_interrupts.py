@@ -1,12 +1,11 @@
 """Interrupt injection and the store-lock/store-unlock protocol.
 
 Every test runs on all three simulator backends: installing a hook
-forces the fast backend off its fused-superblock path onto the
-per-instruction fallback, and the jit backend onto either its chunked
-cadence path (hooks advertising a ``cadence``, like
-:class:`InterruptInjector`) or the same per-instruction fallback — all
-of which must honour the same delivery and lock-window rules as the
-reference interpreter.
+moves the jit backend off its fused-superblock path onto its stepped
+loop, with chunked loop closures for hooks advertising a ``cadence``
+(like :class:`InterruptInjector`), and sends hooked batch lanes to that
+same jit path — all of which must honour the same delivery and
+lock-window rules as the reference interpreter.
 """
 
 import pytest
@@ -15,14 +14,14 @@ from repro.compiler import compile_module
 from repro.frontend import ProgramBuilder
 from repro.ir.symbols import MemoryBank
 from repro.partition.strategies import Strategy
-from repro.sim.fastsim import FastSimulator, make_simulator
+from repro.sim import LoopJitSimulator, make_simulator
 from repro.sim.interrupts import DuplicateDivergenceError, InterruptInjector
 
-pytestmark = pytest.mark.parametrize("backend", ["interp", "fast", "jit", "batch"])
+pytestmark = pytest.mark.parametrize("backend", ["interp", "jit", "batch"])
 
 
 def _assert_hook_path(sim):
-    """With a hook installed the fast backend must compile and run the
+    """With a hook installed the jit backend must compile and run the
     per-instruction step table, never the fused superblocks."""
     from repro.sim.batchsim import BatchSimulator
 
@@ -31,7 +30,7 @@ def _assert_hook_path(sim):
         # step table must stay cold
         assert sim._steps is None, "hooked batch lane entered lockstep"
         return
-    if isinstance(sim, FastSimulator):
+    if isinstance(sim, LoopJitSimulator):
         assert sim._steps is not None, "per-instruction fallback not compiled"
         assert sim._blocks is None, "fused path must stay cold under a hook"
 

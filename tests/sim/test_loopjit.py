@@ -17,7 +17,7 @@ from repro.ir.operations import OpCode, Operation
 from repro.ir.values import Immediate, Label
 from repro.machine.resources import FunctionalUnit
 from repro.partition.strategies import Strategy
-from repro.sim.fastsim import make_simulator
+from repro.sim import make_simulator
 from repro.sim.interrupts import InterruptInjector
 from repro.sim.loopjit import LoopJitSimulator
 from repro.sim.simulator import SimulationError, Simulator
@@ -209,8 +209,7 @@ def test_cadence_hook_uses_chunked_path():
     sim = make_simulator(program, backend="jit", interrupt_hook=hook)
     sim.run()
     assert sim._steps is not None
-    assert sim._chunk_entries is not None
-    assert any(entry is not None for entry in sim._chunk_entries)
+    assert sim._chunks  # at least one chunked loop closure
     assert sim._blocks is None
 
 
@@ -228,8 +227,8 @@ def _delivery_cycles(program, backend, cadence=None):
 
 def test_generic_hook_delegates_to_per_cycle_path():
     """A hook without a cadence must see exactly the cycle sequence the
-    interpreter delivers — the jit backend delegates to the inherited
-    per-cycle step path."""
+    interpreter delivers — the jit backend runs the inherited stepped
+    loop with no chunked loops."""
     program = _program(_counted_nest_module())
     seen = []
 
@@ -240,7 +239,7 @@ def test_generic_hook_delegates_to_per_cycle_path():
     sim.run()
     assert seen == _delivery_cycles(program, "interp")
     assert seen
-    assert sim._chunk_entries is None
+    assert sim._chunks is None
 
 
 @pytest.mark.parametrize("period", [1, 2, 3, 5, 17])

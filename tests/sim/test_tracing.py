@@ -1,11 +1,11 @@
 """Tests for profiling support (block execution counts).
 
 Parametrized over all three simulator backends: block counts derive
-from the per-pc execution counts, which the fast backend reconstructs
-from superblock leader counts after the run and the jit backend
-accumulates as bulk per-level ``pc_counts[pc] += iterations`` updates —
-both must be indistinguishable from the reference interpreter's
-per-cycle counting.
+from the per-pc execution counts, which the jit backend reconstructs
+from superblock leader counts after the run and accumulates as bulk
+per-level ``pc_counts[pc] += iterations`` updates, and the batch
+backend counts per stepped cycle — all must be indistinguishable from
+the reference interpreter's per-cycle counting.
 """
 
 import pytest
@@ -13,10 +13,10 @@ import pytest
 from repro.compiler import compile_module
 from repro.frontend import ProgramBuilder
 from repro.partition.strategies import Strategy
-from repro.sim.fastsim import FastSimulator, make_simulator
+from repro.sim import LoopJitSimulator, make_simulator
 from repro.sim.tracing import collect_block_counts, profile_module
 
-pytestmark = pytest.mark.parametrize("backend", ["interp", "fast", "jit", "batch"])
+pytestmark = pytest.mark.parametrize("backend", ["interp", "jit", "batch"])
 
 
 def _loop_module():
@@ -42,7 +42,7 @@ def test_block_counts_reflect_trip_counts(backend):
         # The lockstep backend always dispatches per instruction (its
         # divergence guards live in the step table).
         assert sim._steps is not None
-    elif isinstance(sim, FastSimulator):
+    elif isinstance(sim, LoopJitSimulator):
         # Hook-free profiling runs stay on the fused superblock path.
         assert sim._blocks is not None
         assert sim._steps is None

@@ -92,7 +92,7 @@ def test_key_entry_points_documented():
     from repro.evaluation.parallel import supervised_map
     from repro.fuzz.campaign import fuzz_campaign
     from repro.partition.strategies import run_allocation
-    from repro.sim.fastsim import make_simulator
+    from repro.sim import make_simulator
 
     for obj in (make_simulator, supervised_map, fuzz_campaign, run_allocation):
         assert (obj.__doc__ or "").strip(), obj
