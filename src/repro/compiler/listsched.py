@@ -80,12 +80,13 @@ def run_list_schedule(graph, policy):
     scheduled = set()
     remaining = set(candidates)
     rounds = 0
+    hard_preds = {index: graph.hard_preds(index) for index in candidates}
 
     def ready(index):
         # Flow/output predecessors must sit in strictly earlier
         # instructions; ops placed in the current instruction are still in
         # `remaining`, so they correctly block their hard successors.
-        for pred in graph.hard_preds(index):
+        for pred in hard_preds[index]:
             if pred in remaining:
                 return False
         return True

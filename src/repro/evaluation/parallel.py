@@ -925,9 +925,12 @@ def evaluate_workloads(table, names, strategies, jobs=None, backend="interp",
     """Evaluate *names* (keys of *table*) under *strategies* in parallel.
 
     Returns ``{name: WorkloadEvaluation}`` in *names* order.  With
-    ``jobs`` in (None, 0, 1) the evaluations run serially in-process
-    (sharing one compiled-program cache); with ``jobs > 1`` the
-    (workload, strategy) pairs fan out across a process pool.
+    ``jobs`` in (None, 0, 1) the evaluations run serially in-process,
+    and without a ``cache_dir`` every compile goes straight to the
+    compiler: no (module, strategy) pair repeats within one call, so an
+    in-memory cache could never hit and fingerprinting each module for
+    it would be pure overhead.  With ``jobs > 1`` the (workload,
+    strategy) pairs fan out across a process pool.
     ``partitioner`` selects the interference-graph partitioner for every
     CB-family configuration (measurements are deterministic per
     partitioner, so serial and fanned-out runs agree for any choice).
@@ -940,7 +943,7 @@ def evaluate_workloads(table, names, strategies, jobs=None, backend="interp",
     if jobs is not None and jobs < 0:
         raise ValueError("jobs must be >= 0, got %d" % jobs)
     if not jobs or jobs == 1:
-        cache = {} if cache_dir is None else _worker_cache(cache_dir)
+        cache = None if cache_dir is None else _worker_cache(cache_dir)
         return {
             name: evaluate_workload(
                 table[name], strategies, verify=verify, backend=backend,

@@ -20,12 +20,13 @@ Architecture (one process, one event loop)::
   write-ahead logged (the :class:`~repro.evaluation.parallel.Journal`
   append-only JSON-lines format, torn-line healing included) *before*
   its ``accepted`` event is sent, and its terminal event is journaled
-  when it completes.  A restarted service re-executes unfinished jobs
-  (``serve.recovered``) and replays completed ones: resubmitting a job
-  with the same client-supplied ``id`` and payload after a dropped
-  connection never double-runs — the stored terminal event is replayed
-  (``serve.deduped``, bounded by ``dedup_window``), and a resubmission
-  that races an in-flight execution merges onto it (``serve.merged``).
+  when it completes.  A restarted service re-validates and re-executes
+  unfinished jobs (``serve.recovered``) and replays completed ones:
+  resubmitting a job with the same client-supplied ``id`` and payload
+  after a dropped connection never double-runs — the stored terminal
+  event is replayed (``serve.deduped``, bounded by ``dedup_window``),
+  and a resubmission that races an in-flight execution merges onto it
+  (``serve.merged``).
 * **Deadlines & cancellation** — a job's ``deadline_ms`` flows through
   dispatch into :func:`~repro.evaluation.parallel.supervised_map` as a
   per-group timeout (pool mode terminates the overrunning worker);
@@ -220,6 +221,15 @@ class SimService:
                 job = self._job_from_key(key)
                 if job is None:
                     continue
+                try:
+                    job = self._revalidate(job)
+                except protocol.JobError as error:
+                    self.observe.counter("serve.protocol_errors")
+                    await self._finish(
+                        _Entry(job, key),
+                        protocol.error_event(job.get("id"), error),
+                    )
+                    continue
                 entry = _Entry(job, key)
                 self._inflight[key] = entry
                 self._recovery.append(entry)
@@ -264,6 +274,20 @@ class SimService:
         if isinstance(jobs, list) and jobs and isinstance(jobs[0], dict):
             return jobs[0]
         return None
+
+    @staticmethod
+    def _revalidate(job):
+        """Normalize a journal-recovered job through the protocol, as
+        :meth:`_handle_line` does a submission: a job an older service
+        journaled may carry a value only the protocol still maps
+        (``backend: "fast"``) or no longer accepts.  The tenant's seed
+        namespacing was applied when the job was first accepted, so it
+        is not applied twice."""
+        tenant = job.pop("tenant", None)
+        job = protocol.validate_job(job)
+        if tenant is not None:
+            job["tenant"] = tenant
+        return job
 
     def _remember(self, key, event):
         """Admit one terminal event to the idempotency window.

@@ -6,11 +6,23 @@ cycle.  The compiled backends (``jit`` in :mod:`repro.sim.loopjit`,
 ``batch`` in :mod:`repro.sim.batchsim`) instead turn each
 :class:`LongInstruction` into straight-line Python source: operand
 reads, effective-address computation, bounds checks, evaluator
-arithmetic, and commit logic are generated per instruction (bound
-constants become closure cells), and a whole table of closures is
-``exec``-compiled in a single batch.  :class:`FastSimulator` holds that
-codegen plus the one *stepped* dispatch loop (:meth:`FastSimulator
-._run_steps`, one closure call per cycle) that both backends share.
+arithmetic, and commit logic are generated per instruction.  Two tables
+come out of that codegen:
+
+* the per-instruction step table (:meth:`FastSimulator._compile_steps`)
+  is ``exec``-compiled in a single batch of closure factories (bound
+  constants become closure cells) and drives the one *stepped*
+  dispatch loop (:meth:`FastSimulator._run_steps`, one closure call per
+  cycle) that both backends share;
+* jit's superblocks (maximal straight-line runs) are only laid out up
+  front (:meth:`FastSimulator._layout_blocks`); each is generated,
+  compiled and bound on its first dispatch (:meth:`FastSimulator
+  ._block`) as one plain ``def step():`` whose free names resolve
+  through a per-simulator environment dict.  Code a run never
+  dispatches — most of it inside loop regions that jit's loop closures
+  run natively — is never compiled, and a codegen error (such as an
+  unallocated register) surfaces when its block is first dispatched,
+  as the reference interpreter's lazy decode reports it.
 
 Semantics are bit-identical to the reference interpreter by construction
 and verified by ``tests/sim/test_fastsim_equivalence.py``:
@@ -22,6 +34,12 @@ and verified by ``tests/sim/test_fastsim_equivalence.py``:
 * the hardware-loop back-edge, the store-lock window (instruction-wide
   net transition), interrupt delivery, ``pc_counts``, cycle and operation
   accounting all match the reference backend exactly.
+
+An operation whose inputs nothing else in its instruction can change,
+and whose inlined form cannot raise, is evaluated straight into its
+destination in the write phase instead of through a temporary (see
+:meth:`FastSimulator._instruction_body`); every other operation reads
+into a temporary first.
 
 Profiling (:mod:`repro.obs.profile`) is a post-run analysis over the
 settled ``pc_counts``, so the jit backend's fused superblock path stays
@@ -115,6 +133,36 @@ _UNARY_EXPR = {
     OpCode.FSQRT: "({a} ** 0.5)",
 }
 
+#: opcodes whose inlined form cannot raise on the values their register
+#: files hold, so evaluating one in the write phase (after the
+#: instruction's control operations and earlier writes) cannot change
+#: which fault an instruction reports
+_PURE = frozenset((
+    OpCode.ADD, OpCode.SUB, OpCode.MUL, OpCode.AND, OpCode.OR, OpCode.XOR,
+    OpCode.MIN, OpCode.MAX, OpCode.NEG, OpCode.ABS, OpCode.NOT,
+    OpCode.CMPEQ, OpCode.CMPNE, OpCode.CMPLT, OpCode.CMPLE, OpCode.CMPGT,
+    OpCode.CMPGE, OpCode.MOV, OpCode.CONST,
+    OpCode.FADD, OpCode.FSUB, OpCode.FMUL, OpCode.FNEG, OpCode.FABS,
+    OpCode.FMOV, OpCode.FCONST, OpCode.FMAC,
+    OpCode.AADD, OpCode.ASUB, OpCode.AMUL, OpCode.AMOV, OpCode.ACONST,
+    OpCode.ACMPEQ, OpCode.ACMPNE, OpCode.ACMPLT, OpCode.ACMPLE,
+    OpCode.ACMPGT, OpCode.ACMPGE, OpCode.MOVIA, OpCode.MOVAI,
+))
+
+
+def _slot(register):
+    """Register-file slot of a (virtual) register operand."""
+    return (register.rclass, register.physical)
+
+
+def _executed(instruction):
+    """The operations of *instruction* that execute (and count)."""
+    return [
+        op
+        for op in instruction.slots.values()
+        if op.opcode is not OpCode.NOP and op.opcode is not OpCode.LOOP_END
+    ]
+
 
 class _CodeBuilder:
     """Accumulates source lines and bound constants for one step closure.
@@ -124,10 +172,11 @@ class _CodeBuilder:
     writes) into ``lines`` so the next instruction's reads come after this
     one's writes.  Temp names may be reused across instructions (a temp
     never carries a value past its own instruction); bound-constant names
-    are unique for the whole block.
+    are unique for the whole block, and *prefix* keeps them unique across
+    blocks that share one environment dict.
     """
 
-    def __init__(self):
+    def __init__(self, prefix="k"):
         self.lines = []
         self.reads = []
         self.control = []
@@ -136,6 +185,7 @@ class _CodeBuilder:
         self.params = []
         self.args = []
         self.counter = 0
+        self.prefix = prefix
         #: optional ``"RA[3]" -> "pa3"`` map; when set, register (and
         #: stack-pointer) references resolve to promoted local names
         self.promoted = None
@@ -145,7 +195,7 @@ class _CodeBuilder:
         return "t%d" % self.counter
 
     def const(self, value):
-        name = "k%d" % len(self.params)
+        name = "%s%d" % (self.prefix, len(self.params))
         self.params.append(name)
         self.args.append(value)
         return name
@@ -178,17 +228,19 @@ class FastSimulator(Simulator):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        count = len(self.program.instructions)
         #: per-pc compiled step closure (hook mode; :meth:`_compile_steps`)
         self._steps = None
-        #: per-leader compiled superblock closure (:meth:`_compile_blocks`)
+        #: per-leader bound superblock function, None until its first
+        #: dispatch (:meth:`_layout_blocks`, :meth:`_block`)
         self._blocks = None
-        #: per-leader cycle length of the superblock
+        #: globals of this simulator's superblock functions
+        self._block_env = None
+        #: per-leader cycle length of the superblock (0 off a leader)
         self._block_lens = None
         #: leader pc -> [member pcs] of its superblock
         self._block_members = None
         #: per-pc executed-operation count (for operation accounting)
-        self._op_widths = [0] * count
+        self._op_widths = None
         #: instruction indices that terminate at least one hardware loop
         self._loop_end_pcs = frozenset(
             end for _start, end in self.program.loops.values()
@@ -398,29 +450,55 @@ class FastSimulator(Simulator):
     def _instruction_body(self, pc, cb):
         """Emit one instruction's reads/control/writes into *cb*.
 
-        Returns ``(control_op, width)``; the caller decides the tail
-        (control transfer or fall-through) so instructions can be fused
-        into superblocks.
+        Returns the control operation (or None); the caller decides the
+        tail (control transfer or fall-through) so instructions can be
+        fused into superblocks.
+
+        An operation is evaluated straight into its destination in the
+        write phase when that reads the same values the read phase
+        would: no other operation of the instruction writes one of its
+        source registers, and for a load, the instruction holds no STORE
+        (memory) and no CALL/RET (stack pointer and memory).  Its
+        inlined form must also be unable to raise (:data:`_PURE`; a load
+        only with bounds checks on), so a faulting instruction still
+        reports the fault the reference interpreter reports.  Everything
+        else reads into a temporary first.
         """
         instruction = self.program.instructions[pc]
         lock_transition = self._lock_transition(instruction)
         control_op = None
-        width = 0
+        ops = _executed(instruction)
+        # register slot -> how many ops of this instruction write it
+        written = {}
+        loads_direct = self.check_bounds
+        for op in ops:
+            opcode = op.opcode
+            if opcode is OpCode.STORE or opcode is OpCode.CALL or opcode is OpCode.RET:
+                loads_direct = False
+            elif op.dest is not None:
+                slot = _slot(op.dest)
+                written[slot] = written.get(slot, 0) + 1
 
-        for op in instruction.slots.values():
+        def direct(op):
+            # no *other* op writes a register this op reads
+            own = _slot(op.dest)
+            return all(
+                written.get(slot, 0) <= (slot == own)
+                for slot in map(_slot, op.reads())
+            )
+
+        for op in ops:
             opcode = op.opcode
             info = op.info
-            if opcode is OpCode.NOP or opcode is OpCode.LOOP_END:
-                continue
-            width += 1
             if opcode is OpCode.LOAD:
                 mem, address = self._address_expr(op, pc, cb)
-                value = cb.temp()
-                cb.reads.append("%s = %s[%s]" % (value, mem, address))
-                cb.writes.append(
-                    "%s = %s"
-                    % (self._reg_ref(op.dest.rclass, op.dest.physical, cb), value)
-                )
+                dest = self._reg_ref(op.dest.rclass, op.dest.physical, cb)
+                if loads_direct:
+                    cb.writes.append("%s = %s[%s]" % (dest, mem, address))
+                else:
+                    value = cb.temp()
+                    cb.reads.append("%s = %s[%s]" % (value, mem, address))
+                    cb.writes.append("%s = %s" % (dest, value))
             elif opcode is OpCode.STORE:
                 mem, address = self._address_expr(op, pc, cb)
                 value = cb.temp()
@@ -431,40 +509,43 @@ class FastSimulator(Simulator):
                 cb.reads.append("%s = %s" % (slot, address))
                 cb.writes.append("%s[%s] = %s" % (mem, slot, value))
             elif opcode is OpCode.FMAC:
-                value = cb.temp()
                 dest = self._reg_ref(op.dest.rclass, op.dest.physical, cb)
-                cb.reads.append(
-                    "%s = %s + %s * %s"
-                    % (
-                        value,
-                        dest,
-                        self._operand_expr(op.sources[0], cb),
-                        self._operand_expr(op.sources[1], cb),
-                    )
+                expr = "%s + %s * %s" % (
+                    dest,
+                    self._operand_expr(op.sources[0], cb),
+                    self._operand_expr(op.sources[1], cb),
                 )
-                cb.writes.append("%s = %s" % (dest, value))
+                if direct(op):
+                    cb.writes.append("%s = %s" % (dest, expr))
+                else:
+                    value = cb.temp()
+                    cb.reads.append("%s = %s" % (value, expr))
+                    cb.writes.append("%s = %s" % (dest, value))
             elif info.kind.value == "control":
                 control_op = op
             else:
                 sources = [self._operand_expr(s, cb) for s in op.sources]
                 binary = self._binary_expr
                 unary = self._unary_expr
+                pure = opcode in _PURE
                 if len(sources) == 2 and opcode in binary:
                     expr = binary[opcode].format(a=sources[0], b=sources[1])
                 elif len(sources) == 1 and opcode in unary:
                     expr = unary[opcode].format(a=sources[0])
                 else:
                     expr = self._fallback_expr(info, sources, cb)
-                value = cb.temp()
-                cb.reads.append("%s = %s" % (value, expr))
-                cb.writes.append(
-                    "%s = %s"
-                    % (self._reg_ref(op.dest.rclass, op.dest.physical, cb), value)
-                )
+                    pure = False
+                dest = self._reg_ref(op.dest.rclass, op.dest.physical, cb)
+                if pure and direct(op):
+                    cb.writes.append("%s = %s" % (dest, expr))
+                else:
+                    value = cb.temp()
+                    cb.reads.append("%s = %s" % (value, expr))
+                    cb.writes.append("%s = %s" % (dest, value))
 
         if lock_transition is not None:
             cb.writes.append("SIM.locked = %r" % lock_transition)
-        return control_op, width
+        return control_op
 
     def _exec_code(self, code, bindings):
         """Bind a compiled factory batch to *this* simulator's state.
@@ -523,75 +604,98 @@ class FastSimulator(Simulator):
         if entry is None:
             pieces = []
             bindings = []
-            widths = [0] * len(self.program.instructions)
             for pc in range(len(self.program.instructions)):
                 cb = _CodeBuilder()
-                control_op, width = self._instruction_body(pc, cb)
+                control_op = self._instruction_body(pc, cb)
                 if control_op is not None:
                     self._emit_control(control_op, pc, cb)
                 else:
                     self._emit_fallthrough(pc, cb)
                 pieces.append(self._factory(pc, cb))
                 bindings.append((pc, cb.args))
-                widths[pc] = width
             code = compile("\n".join(pieces), "<fastsim>", "exec")
-            entry = (code, bindings, tuple(widths))
+            entry = (code, bindings, self._widths())
             cache[key] = entry
         code, bindings, widths = entry
         self._op_widths = list(widths)
         closures = self._exec_code(code, bindings)
         self._steps = [closures[pc] for pc in range(len(closures))]
 
-    def _compile_blocks(self):
-        """Superblock table: maximal straight-line instruction runs fused
-        into single closures (used on jit's hook-free fused path).
+    def _widths(self):
+        """Per-pc executed-operation counts (every pc, including those
+        only loop closures run)."""
+        return tuple(len(_executed(i)) for i in self.program.instructions)
+
+    def _layout_blocks(self):
+        """Superblock layout: maximal straight-line instruction runs, each
+        fused into one function on jit's hook-free fused path.
 
         Each block executes atomically from its leader; per-pc execution
         counts for the interior follow from the leader's count, so the
-        dispatch loop does one closure call, one count increment, and one
-        cycle check per *block* instead of per cycle.
+        dispatch loop does one call, one count increment, and one cycle
+        check per *block* instead of per cycle.  Only the layout (block
+        lengths, members, per-pc operation widths) is built here; a
+        block's code is generated on its first dispatch (:meth:`_block`).
         """
-        count = len(self.program.instructions)
         cache = self._codegen_cache()
-        key = (type(self).__qualname__, "blocks", self.check_bounds)
+        key = (type(self).__qualname__, "layout")
         entry = cache.get(key)
         if entry is None:
+            count = len(self.program.instructions)
             leaders = self._leaders()
             lens = [0] * count
             members = {}
-            pieces = []
-            bindings = []
-            widths = [0] * count
-            boundaries = leaders[1:] + [count]
-            for leader, bound in zip(leaders, boundaries):
-                cb = _CodeBuilder()
-                control_op = None
-                for pc in range(leader, bound):
-                    if pc > leader:
-                        cb.flush()
-                    control_op, width = self._instruction_body(pc, cb)
-                    widths[pc] = width
-                last = bound - 1
-                if control_op is not None:
-                    self._emit_control(control_op, last, cb)
-                else:
-                    self._emit_fallthrough(last, cb)
-                pieces.append(self._factory(leader, cb))
-                bindings.append((leader, cb.args))
+            for leader, bound in zip(leaders, leaders[1:] + [count]):
                 lens[leader] = bound - leader
                 members[leader] = tuple(range(leader, bound))
-            code = compile("\n".join(pieces), "<fastsim>", "exec")
-            entry = (code, bindings, tuple(lens), members, tuple(widths))
+            entry = (tuple(lens), members, self._widths())
             cache[key] = entry
-        code, bindings, lens, members, widths = entry
+        lens, members, widths = entry
         self._op_widths = list(widths)
-        closures = self._exec_code(code, bindings)
-        blocks = [None] * count
-        for leader, _args in bindings:
-            blocks[leader] = closures[leader]
-        self._blocks = blocks
+        self._blocks = [None] * len(lens)
         self._block_lens = lens
         self._block_members = members
+
+    def _block(self, leader):
+        """The superblock function at *leader*, compiled on first use.
+
+        Its code is shared through the program's codegen cache; its free
+        names (:attr:`_FIXED` and the block's bound constants) resolve in
+        this simulator's environment dict, so binding is one ``exec``.
+        """
+        cache = self._codegen_cache()
+        key = (type(self).__qualname__, leader, self.check_bounds)
+        entry = cache.get(key)
+        if entry is None:
+            cb = _CodeBuilder("k%d_" % leader)
+            last = leader + self._block_lens[leader] - 1
+            for pc in range(leader, last + 1):
+                if pc > leader:
+                    cb.flush()
+                control_op = self._instruction_body(pc, cb)
+            if control_op is not None:
+                self._emit_control(control_op, last, cb)
+            else:
+                self._emit_fallthrough(last, cb)
+            source = "def step():\n%s\n" % "\n".join(
+                "    " + line for line in cb.body()
+            )
+            entry = (
+                compile(source, "<fastsim>", "exec"),
+                tuple(zip(cb.params, cb.args)),
+            )
+            cache[key] = entry
+        code, constants = entry
+        env = self._block_env
+        if env is None:
+            env = self._block_env = dict(
+                zip(self._FIXED.split(", "), self._fixed_args())
+            )
+        env.update(constants)
+        namespace = {}
+        exec(code, env, namespace)
+        step = self._blocks[leader] = namespace["step"]
+        return step
 
     # ------------------------------------------------------------------
     # Execution

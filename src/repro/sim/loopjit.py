@@ -2,7 +2,7 @@
 dispatch.
 
 Threaded code built by :class:`~repro.sim.fastsim.FastSimulator` still
-pays one Python closure call per superblock and re-enters the dispatch
+pays one Python call per superblock and re-enters the dispatch
 loop on every zero-overhead hardware-loop back-edge, so the hottest
 cycles of the paper's loop-dominated DSP kernels are the most expensive
 to simulate.  This backend generates Python source per hardware-loop
@@ -233,7 +233,7 @@ class LoopJitSimulator(FastSimulator):
         writes commit, exactly as the reference interpreter reads it.
         """
         saved, cb.lines = cb.lines, []
-        control_op, width = self._instruction_body(pc, cb)
+        control_op = self._instruction_body(pc, cb)
         if count_var is not None:
             cb.reads.append(
                 "%s = %s"
@@ -242,26 +242,31 @@ class LoopJitSimulator(FastSimulator):
         cb.flush()
         out.extend(pad + line for line in cb.lines)
         cb.lines = saved
-        self._op_widths[pc] = width
         return control_op
 
     def _pc_refs(self, pc):
         """Register (and stack-pointer) slots *pc* touches, as sorted
-        ``"RA[3]"``-style refs, found via one cached scratch emission."""
+        ``"RA[3]"``-style refs, read off its operands: every register an
+        operation reads or writes (memory index and offset included),
+        ``SP[bank]`` for a frame symbol, and a LOOP_BEGIN trip count —
+        the refs :meth:`_emit_instruction` emits for it."""
         refs = self._ref_cache.get(pc)
         if refs is None:
-            scratch = _CodeBuilder()
-            lines = []
-            control_op = self._emit_instruction(pc, scratch, lines, "")
-            if control_op is not None and control_op.opcode is OpCode.LOOP_BEGIN:
-                lines.append(
-                    "_ = %s" % self._operand_expr(control_op.sources[0], scratch)
-                )
-            refs = tuple(
-                sorted(
-                    {m.group(0) for m in _REG_REF.finditer("\n".join(lines))}
-                )
-            )
+            plain = _CodeBuilder()
+            found = set()
+            for op in self.program.instructions[pc].slots.values():
+                if op.info.kind.value == "control":
+                    if op.opcode is not OpCode.LOOP_BEGIN:
+                        continue
+                    operands = op.reads()
+                else:
+                    operands = op.reads() + op.writes()
+                    if op.is_memory:
+                        bank_index, base, _offset = self._resolve_symbol(op)
+                        if base is None:
+                            found.add("SP[%d]" % bank_index)
+                found.update(self._operand_expr(r, plain) for r in operands)
+            refs = tuple(sorted(found))
             self._ref_cache[pc] = refs
         return refs
 
@@ -580,7 +585,7 @@ class LoopJitSimulator(FastSimulator):
 
     def _run_fused(self):
         if self._blocks is None:
-            self._compile_blocks()
+            self._layout_blocks()
         if self._entries is None:
             self._compile_loops()
         self._enter_main()
@@ -607,7 +612,9 @@ class LoopJitSimulator(FastSimulator):
                         continue
                 step = blocks[pc]
                 if step is None:
-                    raise SimulationError("pc %d out of range" % pc)
+                    if not lens[pc]:
+                        raise SimulationError("pc %d out of range" % pc)
+                    step = self._block(pc)
                 cell[0] += lens[pc]
                 if cell[0] > max_cycles:
                     raise CycleLimitError(

@@ -157,6 +157,32 @@ def test_parallel_matches_serial_bit_for_bit():
             ].gain_percent(strategy)
 
 
+def test_serial_figure_without_store_never_fingerprints(monkeypatch):
+    """A figure never repeats a (module, strategy) pair, so the serial
+    path without a cache_dir compiles straight through: no module is
+    fingerprinted for a cache that could not hit, and the gains equal a
+    cached evaluation's."""
+    from repro.evaluation import runner
+    from repro.evaluation.figures import FIGURE7_STRATEGIES, figure7
+
+    fingerprinted = []
+    real = runner.module_fingerprint
+    monkeypatch.setattr(
+        runner, "module_fingerprint",
+        lambda module: fingerprinted.append(module) or real(module),
+    )
+    subset = ["fir_32_1", "mult_4_4"]
+    series = figure7(subset=subset)
+    assert fingerprinted == []
+    for name in subset:
+        cached = runner.evaluate_workload(
+            KERNELS[name], FIGURE7_STRATEGIES, cache={}
+        )
+        for strategy, label in zip(FIGURE7_STRATEGIES, series.labels):
+            assert series.gains[label][name] == cached.gain_percent(strategy)
+    assert fingerprinted  # the cached reference did go through the patch
+
+
 # ----------------------------------------------------------------------
 # supervised_map
 # ----------------------------------------------------------------------

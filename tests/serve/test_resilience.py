@@ -5,6 +5,7 @@ circuit breaker, and protocol abuse (oversized and truncated lines)
 that must degrade to typed errors, never crashes."""
 
 import asyncio
+import json
 import os
 import re
 import socket
@@ -122,6 +123,59 @@ def test_restart_reexecutes_accepted_but_unfinished_jobs(tmp_path):
     reference = _direct(JOB_A, cache_dir=str(tmp_path / "ref"))
     assert terminal["digest"] == reference["digest"]
     assert stats["serve.deduped"] == 1
+
+
+def test_recovery_revalidates_journaled_jobs(tmp_path):
+    """A job an older service journaled as started is normalized through
+    the protocol on recovery: ``backend: "fast"`` (the wire alias of the
+    retired backend) runs on jit, and a job that no longer validates
+    ends in the structured protocol error, never an internal one."""
+    journal_path = str(tmp_path / "journal.jsonl")
+    defaults = {"strategy": "CB", "partitioner": "greedy", "writes": {},
+                "reads": []}
+    fast = dict(defaults, kind="run", workload="fir_32_1", backend="fast",
+                id="old-fast")
+    stale = dict(defaults, kind="run", workload="fir_32_1",
+                 backend="turbo", id="old-stale")
+    keys = {job["id"]: Journal.key_for([job]) for job in (fast, stale)}
+    journal = Journal(journal_path)
+    for key in keys.values():
+        journal.mark_started(key, 1)
+    journal.close()
+
+    def recover(service, host, port):
+        _wait_for(
+            lambda: set(keys.values()) <= set(_journal_completed(journal_path)),
+            message="journal recovery",
+        )
+        with ServeClient(host, port) as client:
+            return client.stats()
+
+    stats = _with_service(recover, journal=journal_path)
+    assert stats["serve.recovered"] == 1
+    assert stats["serve.protocol_errors"] == 1
+    completed = _journal_completed(journal_path)
+    result = completed[keys["old-fast"]]
+    assert result["event"] == "result"
+    assert result["obs"]["backend_executed"] == "jit"
+    reference = _direct({"kind": "run", "workload": "fir_32_1",
+                         "backend": "jit", "id": "old-fast"})
+    assert result["digest"] == reference["digest"]
+    error = completed[keys["old-stale"]]
+    assert error["event"] == "error"
+    assert error["category"] == "protocol"
+    assert error["field"] == "backend"
+    assert error["id"] == "old-stale"
+
+
+def test_revalidation_keeps_the_tenant_seed_space():
+    """Recovery re-validates a job already validated once: the tenant's
+    seed namespacing must not be applied a second time."""
+    job = protocol.validate_job({
+        "kind": "recipe", "recipe": {"seed": 7}, "tenant": "acme",
+    })
+    recovered = SimService._revalidate(json.loads(json.dumps(job)))
+    assert recovered == job
 
 
 def test_resubmission_within_one_session_replays_bit_identically(tmp_path):

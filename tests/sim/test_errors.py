@@ -105,3 +105,57 @@ def test_simulator_annotates_faults_in_flight():
         assert fault.pc is not None
         assert fault.cycle is not None
         assert isinstance(classify_fault(fault), MachineError)
+
+
+def _unallocated_behind_branch(taken):
+    """A program whose ``if`` body reads a register allocation never
+    assigned (its ``physical`` cleared after compiling); ``flag`` decides
+    whether the body runs."""
+    from repro.compiler import compile_module
+    from repro.frontend import ProgramBuilder
+    from repro.ir.operations import OpCode
+    from repro.ir.values import VirtualRegister
+    from repro.partition.strategies import Strategy
+
+    pb = ProgramBuilder("t")
+    flag = pb.global_array("flag", 1, int, init=[int(taken)], opaque=True)
+    src = pb.global_array("src", 1, float, init=[3.0], opaque=True)
+    out = pb.global_array("out", 2, float)
+    with pb.function("main") as f:
+        x = f.float_var("x")
+        f.assign(x, src[0])
+        with f.if_(flag[0] > 0):
+            f.assign(out[0], x * 2.0)
+        f.assign(out[1], x)
+    program = compile_module(pb.build(), strategy=Strategy.CB).program
+    (op,) = [
+        op
+        for instruction in program.instructions
+        for op in instruction.ops
+        if op.opcode is OpCode.FMUL
+    ]
+    register = op.sources[0]
+    op.sources = (VirtualRegister(10**6, register.rclass),) + op.sources[1:]
+    return program
+
+
+def test_unallocated_register_faults_only_when_executed():
+    """jit compiles a superblock on its first dispatch, so like interp's
+    lazy decode it reports an unallocated register only if the
+    instruction runs."""
+    from repro.sim import make_simulator
+
+    skipped = _unallocated_behind_branch(taken=False)
+    results = {}
+    for backend in ("interp", "jit"):
+        simulator = make_simulator(skipped, backend=backend)
+        results[backend] = (simulator.run().cycles, simulator.state_digest())
+    assert results["jit"] == results["interp"]
+
+    executed = _unallocated_behind_branch(taken=True)
+    for backend in ("interp", "jit"):
+        simulator = make_simulator(executed, backend=backend)
+        with pytest.raises(SimulationError, match="unallocated register") as info:
+            simulator.run()
+        assert isinstance(classify_fault(info.value), ProgramError)
+        assert info.value.backend == backend

@@ -10,7 +10,8 @@ import pytest
 from repro.compiler import compile_module
 from repro.frontend import ProgramBuilder
 from repro.ir.operations import OpCode, Operation
-from repro.ir.values import Immediate, Label
+from repro.ir.types import RegClass
+from repro.ir.values import Immediate, Label, VirtualRegister
 from repro.machine.resources import FunctionalUnit
 from repro.partition.strategies import Strategy
 from repro.sim import BACKENDS, make_simulator
@@ -91,6 +92,138 @@ def test_branch_out_of_loop_identical_across_backends():
     for result in results.values():
         assert result.cycles == reference.cycles
         assert result.pc_counts == reference.pc_counts
+
+
+# ----------------------------------------------------------------------
+# Read-before-write inside one packed instruction
+# ----------------------------------------------------------------------
+def _rotation_module(hw):
+    """``t = a; a = b; b = t + b`` per iteration.  The anti edge from the
+    read of ``a`` to its overwrite lets compaction pack both moves into
+    one instruction (the paper's data-compatibility rule)."""
+    pb = ProgramBuilder("t")
+    seed = pb.global_array("seed", 2, float, init=[1.0, 2.0], opaque=True)
+    out = pb.global_array("out", 2, float)
+    with pb.function("main") as f:
+        a, b, t = f.float_var("a"), f.float_var("b"), f.float_var("t")
+        f.assign(a, seed[0])
+        f.assign(b, seed[1])
+        with f.loop(5, hw=hw):
+            f.assign(t, a)
+            f.assign(a, b)
+            f.assign(b, t + b)
+        f.assign(out[0], a)
+        f.assign(out[1], b)
+    return pb.build()
+
+
+def _overwritten_reads(program):
+    """pcs holding an op that reads a register another op of the same
+    instruction writes."""
+    pcs = []
+    for pc, instruction in enumerate(program.instructions):
+        ops = instruction.ops
+        written = {
+            (op.dest.rclass, op.dest.physical)
+            for op in ops
+            if op.dest is not None
+        }
+        for op in ops:
+            others = written - (
+                {(op.dest.rclass, op.dest.physical)} if op.dest else set()
+            )
+            if any((r.rclass, r.physical) in others for r in op.reads()):
+                pcs.append(pc)
+                break
+    return pcs
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["slots", "reversed"])
+@pytest.mark.parametrize("hw", [True, False], ids=["hw-loop", "sw-loop"])
+def test_packed_overwrite_reads_the_old_value(hw, reverse):
+    """Every backend reads the pre-instruction value of a register that
+    the same instruction overwrites, whatever the slot order: the
+    codegen evaluates an op straight into its destination only when no
+    other op of the instruction writes one of its inputs.  The hardware
+    loop runs in jit's loop closure, the software loop in its
+    superblocks, batch on its step table."""
+    program = compile_module(
+        _rotation_module(hw), strategy=Strategy.CB
+    ).program
+    packed = _overwritten_reads(program)
+    assert packed, "compaction must pack the read with its overwrite"
+    if reverse:
+        for pc in packed:
+            instruction = program.instructions[pc]
+            instruction.slots = dict(reversed(list(instruction.slots.items())))
+    runs = {}
+    for backend in ALL_BACKENDS:
+        simulator = make_simulator(program, backend=backend)
+        result = simulator.run()
+        runs[backend] = (
+            result.cycles,
+            result.operations,
+            result.pc_counts,
+            simulator.state_digest(),
+            simulator.read_global("out"),
+        )
+    assert runs["interp"][4] == [13.0, 21.0]
+    for backend in ALL_BACKENDS:
+        assert runs[backend] == runs["interp"], backend
+
+
+def _two_fault_instruction(index, division_first):
+    """One instruction holding a load of ``data[index]`` and a 0.0 / 0.0
+    division (injected on a free FPU, before or after the load in slot
+    order): both fault, so the first in slot order decides the error."""
+    pb = ProgramBuilder("t")
+    data = pb.global_array("data", 4, float, init=[0.0] * 4, opaque=True)
+    out = pb.global_scalar("out", float)
+    with pb.function("main") as f:
+        i = f.index_var("i")
+        f.assign(i, index)
+        f.assign(out[0], data[i])
+    program = compile_module(pb.build(), strategy=Strategy.SINGLE_BANK).program
+    (instruction,) = [
+        instruction
+        for instruction in program.instructions
+        if any(op.opcode is OpCode.LOAD for op in instruction.ops)
+    ]
+    zero = VirtualRegister(0, RegClass.FLOAT)
+    zero.physical = 31
+    quotient = VirtualRegister(1, RegClass.FLOAT)
+    quotient.physical = 30
+    division = (
+        FunctionalUnit.FPU0,
+        Operation(OpCode.FDIV, dest=quotient, sources=(zero, zero)),
+    )
+    slots = list(instruction.slots.items())
+    instruction.slots = dict(
+        [division] + slots if division_first else slots + [division]
+    )
+    return program
+
+
+@pytest.mark.parametrize(
+    "index, division_first, check_bounds, error",
+    [
+        (4, True, True, ZeroDivisionError),
+        (10**6, False, False, IndexError),
+    ],
+    ids=["division-then-bounds-check", "unchecked-load-then-division"],
+)
+def test_first_fault_in_slot_order_wins(index, division_first, check_bounds,
+                                        error):
+    """An operation the codegen evaluates in the write phase must not
+    let a later operation's fault overtake its own: every backend
+    reports the fault the interpreter meets first."""
+    program = _two_fault_instruction(index, division_first)
+    for backend in ALL_BACKENDS:
+        simulator = make_simulator(
+            program, backend=backend, check_bounds=check_bounds
+        )
+        with pytest.raises(error):
+            simulator.run()
 
 
 # ----------------------------------------------------------------------

@@ -382,6 +382,25 @@ def test_codegen_cache_shared_across_simulators():
     first_result = first.run()
     cache = program._codegen_cache
     assert cache
+    # superblocks compile on first dispatch: one cache entry per leader
+    # the run dispatched, none inside a region a loop closure consumed
+    block_leaders = {key[1] for key in cache if isinstance(key[1], int)}
+    dispatched = {
+        pc for pc, block in enumerate(first._blocks) if block is not None
+    }
+    assert block_leaders == dispatched
+    assert all(first_result.pc_counts[pc] for pc in dispatched)
+    consumed = [
+        (start, first._entry_ends[start])
+        for start, entry in enumerate(first._entries)
+        if entry is not None
+    ]
+    assert consumed
+    for start, end in consumed:
+        assert not any(start <= pc <= end for pc in block_leaders)
+    reference = make_simulator(program, backend="interp").run()
+    assert first_result.operations == reference.operations
+    assert first_result.pc_counts == reference.pc_counts
     snapshot = dict(cache)
     second = make_simulator(program, backend="jit")
     second_result = second.run()
@@ -389,6 +408,60 @@ def test_codegen_cache_shared_across_simulators():
     assert second_result.cycles == first_result.cycles
     assert second_result.pc_counts == first_result.pc_counts
     assert second.state_digest() == first.state_digest()
+
+
+def _local_array_module():
+    """Loops over a frame-resident array: their promotion includes the
+    stack pointer (no paper workload has a frame symbol in a loop)."""
+    pb = ProgramBuilder("t")
+    out = pb.global_scalar("out", float)
+    with pb.function("main") as f:
+        buf = f.local_array("buf", 4, float)
+        with f.for_range(0, 4) as i:
+            f.assign(buf[i], 1.5)
+        acc = f.float_var("acc")
+        f.assign(acc, 0.0)
+        with f.for_range(0, 4) as i:
+            f.assign(acc, acc + buf[i])
+        f.assign(out[0], acc)
+    return pb.build()
+
+
+def test_promotion_maps_match_the_emitted_refs():
+    """Loop promotion reads each pc's register refs off its operands;
+    on every paper workload (and a frame-array loop) that equals the
+    refs its emitted code names (an emission scraped for
+    ``RA[n]``/``SP[n]``-style refs)."""
+    import re
+
+    from repro.sim.fastsim import _CodeBuilder
+    from repro.workloads.registry import all_workloads
+
+    pattern = re.compile(r"\b(RA|RI|RF|SP)\[(\d+)\]")
+    modules = [w.build() for w in all_workloads().values()]
+    modules.append(_local_array_module())
+    regions = stack_refs = 0
+    for module in modules:
+        program = compile_module(module, strategy=Strategy.CB).program
+        sim = LoopJitSimulator(program)
+        for start, nest in sim._nests().items():
+            emitted = set()
+            for pc in range(start, nest.end + 1):
+                lines = []
+                control = sim._emit_instruction(pc, _CodeBuilder(), lines, "")
+                if control is not None and control.opcode is OpCode.LOOP_BEGIN:
+                    lines.append(
+                        sim._operand_expr(control.sources[0], _CodeBuilder())
+                    )
+                emitted.update(
+                    m.group(0) for m in pattern.finditer("\n".join(lines))
+                )
+            promoted = sim._promotion_map(start, nest.end)
+            assert set(promoted) == emitted, (module.name, start)
+            regions += 1
+            stack_refs += any(ref.startswith("SP") for ref in promoted)
+    assert regions > 0
+    assert stack_refs > 0
 
 
 def test_cache_keys_include_max_cycles():
