@@ -19,7 +19,8 @@ report [--workload W --strategy S --baseline B --top N --json PATH]
     the JSON document to a file, "-" for stdout).
 fuzz [--runs N] [--seed S] [--jobs J] [--journal PATH] [--timeout SEC]
     Differential fuzzing: random programs through every allocation
-    strategy, every simulator backend, and every partitioner; failures
+    strategy, every simulator backend, and both max-cut heuristics
+    (greedy and exact); failures
     are shrunk and archived under tests/fuzz_corpus/.  With
     --journal/--timeout the seeds run supervised and the campaign is
     resumable.
@@ -30,8 +31,8 @@ faults [--runs N] [--seed S] [--jobs J] [--journal PATH] ...
     resilience report (fault-masking and dup-detection rates), with
     checkpoint/resume via --journal.
 partition-gap [--workload W ...] [--backend B] [--jobs J] [--json PATH]
-    Gap-to-optimal evaluation: every registry workload partitioned by
-    every registered partitioner, reporting final interference cost,
+    Gap-to-optimal evaluation: every registry workload cut by the
+    greedy and the exact max-cut, reporting final interference cost,
     the greedy-vs-exact cost ratio, and the realized cycles/PCR.
 serve [--host H] [--port P] [--workers N] [--cache-dir DIR]
       [--journal PATH] [--scrub-cache] ...
@@ -48,23 +49,22 @@ chaos [--seed S] [--cycles N] [--jobs-per-cycle K] [--budget SEC] ...
     stalled submissions — asserting no accepted job is lost, no job
     runs twice, and replays stay bit-identical (docs/serving.md).
 
-Every command that compiles under a CB-family strategy accepts
-``--partitioner`` (greedy | exact) selecting the
-interference-graph partitioner from the registry
-(:data:`repro.partition.registry.PARTITIONERS`).  The evaluation
-commands (run, compare, figure7, figure8, table3, report) and serve
-also accept ``--cache-dir DIR``: a persistent on-disk artifact store
-(:mod:`repro.serve.store`) that compiles read through, so repeated
-invocations skip recompilation; fuzz, faults, graph, and partition-gap
-bypass it by design (random or partitioner-swept content would only
-churn the store).
+Every command cuts the interference graph with the paper's greedy
+heuristic.  The exact max-cut changes no cycle count the evaluation
+reports, so it is a measuring instrument only: partition-gap and the
+fuzz oracle run it, and no command offers it as an option.  The
+evaluation commands (run, compare, figure7, figure8, table3, report)
+and serve also accept ``--cache-dir DIR``: a persistent on-disk
+artifact store (:mod:`repro.serve.store`) that compiles read through,
+so repeated invocations skip recompilation; fuzz, faults, graph, and
+partition-gap bypass it by design (random or doubly-cut content would
+only churn the store).
 """
 
 import argparse
 import sys
 
 from repro.compiler import CompileOptions, compile_module
-from repro.partition.registry import PARTITIONERS
 from repro.partition.strategies import PAPER_LABELS, Strategy
 from repro.sim import BACKENDS, make_simulator
 from repro.sim.simulator import Simulator
@@ -120,30 +120,24 @@ def _cli_cache(args):
     return process_compile_cache(cache_dir)
 
 
-def _profile(workload, cache=None, partitioner="greedy"):
+def _profile(workload, cache=None):
     from repro.evaluation.runner import _compile_cached
 
-    compiled = _compile_cached(
-        workload, Strategy.SINGLE_BANK, None, cache, partitioner=partitioner
-    )
+    compiled = _compile_cached(workload, Strategy.SINGLE_BANK, None, cache)
     simulator = Simulator(compiled.program)
     result = simulator.run()
     return collect_block_counts(compiled.program, result)
 
 
 def _run_one(workload, strategy, software_pipelining=False, backend="interp",
-             partitioner="greedy", cache=None):
+             cache=None):
     if software_pipelining:
         # Pipelined schedules are not part of the persistent cache key
         # (options_signature covers them, but the in-memory runner key
         # does not), so compile them directly rather than risk serving
         # a non-pipelined artifact.
         cache = None
-    counts = (
-        _profile(workload, cache=cache, partitioner=partitioner)
-        if strategy.needs_profile
-        else None
-    )
+    counts = _profile(workload, cache=cache) if strategy.needs_profile else None
     if cache is None:
         compiled = compile_module(
             workload.build(),
@@ -151,15 +145,12 @@ def _run_one(workload, strategy, software_pipelining=False, backend="interp",
                 strategy=strategy,
                 profile_counts=counts,
                 software_pipelining=software_pipelining,
-                partitioner=partitioner,
             ),
         )
     else:
         from repro.evaluation.runner import _compile_cached
 
-        compiled = _compile_cached(
-            workload, strategy, counts, cache, partitioner=partitioner
-        )
+        compiled = _compile_cached(workload, strategy, counts, cache)
     simulator = make_simulator(compiled.program, backend=backend)
     result = simulator.run()
     workload.verify(simulator)
@@ -183,7 +174,7 @@ def cmd_run(args):
     strategy = _strategy(args.strategy)
     compiled, simulator, result = _run_one(
         workload, strategy, args.pipeline, backend=args.backend,
-        partitioner=args.partitioner, cache=_cli_cache(args),
+        cache=_cli_cache(args),
     )
     print(
         "%s under %s: %d cycles (%d ops, %.2f ops/cycle), verified OK"
@@ -223,7 +214,7 @@ def cmd_compare(args):
     for strategy in strategies:
         _compiled, _sim, result = _run_one(
             workload, strategy, args.pipeline, backend=args.backend,
-            partitioner=args.partitioner, cache=cache,
+            cache=cache,
         )
         if baseline is None:
             baseline = result.cycles
@@ -239,8 +230,7 @@ def cmd_figure7(args):
     from repro.evaluation import figure7, render_figure7
 
     print(render_figure7(figure7(
-        jobs=_jobs(args), backend=args.backend, partitioner=args.partitioner,
-        cache_dir=args.cache_dir,
+        jobs=_jobs(args), backend=args.backend, cache_dir=args.cache_dir,
     )))
     return 0
 
@@ -249,8 +239,7 @@ def cmd_figure8(args):
     from repro.evaluation import figure8, render_figure8
 
     print(render_figure8(figure8(
-        jobs=_jobs(args), backend=args.backend, partitioner=args.partitioner,
-        cache_dir=args.cache_dir,
+        jobs=_jobs(args), backend=args.backend, cache_dir=args.cache_dir,
     )))
     return 0
 
@@ -259,8 +248,7 @@ def cmd_table3(args):
     from repro.evaluation import render_table3, table3
 
     print(render_table3(table3(
-        jobs=_jobs(args), backend=args.backend, partitioner=args.partitioner,
-        cache_dir=args.cache_dir,
+        jobs=_jobs(args), backend=args.backend, cache_dir=args.cache_dir,
     )))
     return 0
 
@@ -271,16 +259,12 @@ def cmd_report(args):
     from repro.evaluation import figure7, figure8, table3
     from repro.evaluation.reporting import render_markdown
 
-    jobs, backend = _jobs(args), args.backend
-    partitioner, cache_dir = args.partitioner, args.cache_dir
+    jobs, backend, cache_dir = _jobs(args), args.backend, args.cache_dir
     print(
         render_markdown(
-            figure7(jobs=jobs, backend=backend, partitioner=partitioner,
-                    cache_dir=cache_dir),
-            figure8(jobs=jobs, backend=backend, partitioner=partitioner,
-                    cache_dir=cache_dir),
-            table3(jobs=jobs, backend=backend, partitioner=partitioner,
-                   cache_dir=cache_dir),
+            figure7(jobs=jobs, backend=backend, cache_dir=cache_dir),
+            figure8(jobs=jobs, backend=backend, cache_dir=cache_dir),
+            table3(jobs=jobs, backend=backend, cache_dir=cache_dir),
         )
     )
     return 0
@@ -300,7 +284,6 @@ def _cmd_observability_report(args):
         baseline=_strategy(args.baseline),
         backend=args.backend,
         top=args.top,
-        partitioner=args.partitioner,
     )
     print(render_observability(report))
     if args.json:
@@ -320,10 +303,6 @@ def cmd_fuzz(args):
     if args.backend is not None:
         # the reference interpreter plus the backend under test
         backends = tuple(dict.fromkeys(("interp", args.backend)))
-    partitioners = None
-    if args.partitioner is not None:
-        # the greedy reference plus the partitioner under test
-        partitioners = tuple(dict.fromkeys(("greedy", args.partitioner)))
     failures = fuzz_campaign(
         args.runs,
         seed=args.seed,
@@ -335,7 +314,6 @@ def cmd_fuzz(args):
         journal=args.journal,
         timeout=args.timeout,
         backends=backends,
-        partitioners=partitioners,
     )
     return 1 if failures else 0
 
@@ -364,7 +342,6 @@ def cmd_faults(args):
             retries=args.retries,
             log=print,
             observe=Recorder(),
-            partitioner=args.partitioner,
         )
     except ValueError as error:
         raise SystemExit(str(error))
@@ -381,9 +358,7 @@ def cmd_faults(args):
 
 def cmd_graph(args):
     workload = _workload(args.workload)
-    compiled = compile_module(
-        workload.build(), strategy=Strategy.CB, partitioner=args.partitioner
-    )
+    compiled = compile_module(workload.build(), strategy=Strategy.CB)
     allocation = compiled.allocation
     print(allocation.graph.to_dot(allocation.partition))
     return 0
@@ -483,15 +458,6 @@ def build_parser():
             "loop-specializing codegen, or batched lockstep lanes",
         )
 
-    def add_partitioner(command):
-        command.add_argument(
-            "--partitioner",
-            default="greedy",
-            choices=sorted(PARTITIONERS),
-            help="interference-graph partitioner: the paper's greedy "
-            "heuristic or branch-and-bound exact max-cut",
-        )
-
     def nonnegative_int(text):
         value = int(text)
         if value < 0:
@@ -528,7 +494,6 @@ def build_parser():
     run.add_argument("--asm", action="store_true", help="DSP-style assembly listing")
     run.add_argument("--stats", action="store_true", help="unit utilization")
     add_backend(run)
-    add_partitioner(run)
     add_cache_dir(run)
     run.set_defaults(func=cmd_run)
 
@@ -539,7 +504,6 @@ def build_parser():
     )
     compare.add_argument("--pipeline", action="store_true")
     add_backend(compare)
-    add_partitioner(compare)
     add_cache_dir(compare)
     compare.set_defaults(func=cmd_compare)
 
@@ -551,7 +515,6 @@ def build_parser():
         artifact = sub.add_parser(name, help="regenerate paper %s" % name)
         add_backend(artifact)
         add_jobs(artifact)
-        add_partitioner(artifact)
         add_cache_dir(artifact)
         artifact.set_defaults(func=func)
 
@@ -582,7 +545,6 @@ def build_parser():
     )
     add_backend(report)
     add_jobs(report)
-    add_partitioner(report)
     add_cache_dir(report)
     report.set_defaults(func=cmd_report)
 
@@ -625,12 +587,6 @@ def build_parser():
         "--timeout", type=float, default=None, metavar="SEC",
         help="per-seed wall-clock budget; overrunning workers are "
         "terminated and the seed retried (supervised runner)",
-    )
-    fuzz.add_argument(
-        "--partitioner", default=None, choices=sorted(PARTITIONERS),
-        help="restrict the oracle's partitioner-identity stage to the "
-        "greedy reference plus this partitioner (default: the full "
-        "registry)",
     )
     add_jobs(fuzz)
     fuzz.set_defaults(func=cmd_fuzz)
@@ -677,20 +633,18 @@ def build_parser():
     )
     add_backend(faults)
     add_jobs(faults)
-    add_partitioner(faults)
     faults.set_defaults(func=cmd_faults)
 
     graph = sub.add_parser(
         "graph", help="interference graph of a workload in DOT format"
     )
     graph.add_argument("workload")
-    add_partitioner(graph)
     graph.set_defaults(func=cmd_graph)
 
     gap = sub.add_parser(
         "partition-gap",
-        help="gap-to-optimal study: every workload under every "
-        "partitioner, with greedy-vs-exact cost ratios",
+        help="gap-to-optimal study: every workload cut by greedy and "
+        "by exact max-cut, with greedy-vs-exact cost ratios",
     )
     gap.add_argument(
         "--workload", action="append", default=None, metavar="W",

@@ -146,8 +146,32 @@ def compact_block(block, dual_ported=False):
 
     Hardware-loop end markers are attached to the final instruction's
     ``loop_ends`` so the assembler can record the back-edge address.
+
+    Greedy list scheduling is not monotone in resources (a Graham
+    anomaly): freeing the bank constraint can make a dual-ported
+    schedule *longer* than the banked one.  A banked schedule is also
+    legal on dual-ported hardware, so the dual-ported case schedules
+    the block both ways and keeps the shorter: dual-ported is never
+    slower than banked for the same tags.
     """
     graph = build_dependence_graph(block.ops)
+    instructions = _compact(block, graph, dual_ported)
+    if not dual_ported:
+        return instructions
+    memory = [(op, op.bank) for op in block.ops if op.is_memory]
+    if not memory:
+        return instructions  # banks constrain memory operations only
+    banked = _compact(block, graph, False)
+    if len(banked) < len(instructions):
+        return banked
+    # The banked attempt narrows duplicated loads' tags to the copy it
+    # chose; the kept dual-ported schedule must see the original tags.
+    for op, bank in memory:
+        op.bank = bank
+    return instructions
+
+
+def _compact(block, graph, dual_ported):
     policy = _EmitPolicy(block, dual_ported, _bank_pressure(block.ops))
 
     has_schedulable = any(

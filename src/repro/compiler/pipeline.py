@@ -45,7 +45,6 @@ class CompileOptions:
         unroll_factor=1,
         observe=None,
         partitioner=DEFAULT_PARTITIONER,
-        partitioner_seed=0,
     ):
         self.strategy = strategy
         self.profile_counts = profile_counts
@@ -54,8 +53,6 @@ class CompileOptions:
         #: Interference-graph partitioner name for the CB-family
         #: strategies (:data:`~repro.partition.registry.PARTITIONERS`).
         self.partitioner = partitioner
-        #: One seed for the partitioners' greedy tie-breaks.
-        self.partitioner_seed = partitioner_seed
         #: Optional :class:`~repro.obs.core.Recorder` collecting per-pass
         #: spans; None means the shared no-op recorder.
         self.observe = observe
@@ -90,10 +87,10 @@ def options_signature(options):
     """The cache-relevant projection of a :class:`CompileOptions`.
 
     Returns a tuple of ``(name, value)`` pairs covering every option
-    that changes the emitted program: the strategy, the partitioner and
-    its tie-break seed (two seeds can legally produce two different
-    optimal partitions, so they must never share a cache entry), and
-    the optional passes.  ``profile_counts`` and ``observe`` are
+    that changes the emitted program: the strategy, the partitioner
+    (two partitioners can produce two different cuts, so they must
+    never share a cache entry), and the optional passes.
+    ``profile_counts`` and ``observe`` are
     deliberately absent — profile counts are keyed separately (they are
     inputs, not options) and a recorder never changes the output.
 
@@ -109,7 +106,6 @@ def options_signature(options):
         ("optimize", bool(options.optimize)),
         ("unroll_factor", int(options.unroll_factor)),
         ("partitioner", options.partitioner),
-        ("partitioner_seed", int(options.partitioner_seed)),
     )
 
 
@@ -152,7 +148,6 @@ def compile_module(module, options=None, **kwargs):
                 interrupt_safe=options.interrupt_safe,
                 observe=observe,
                 partitioner=options.partitioner,
-                partitioner_seed=options.partitioner_seed,
             )
             span.set(
                 strategy=options.strategy.name,

@@ -40,13 +40,12 @@ class FigureSeries:
 
 
 def _collect(title, table, order, strategies, labels, verify=True, subset=None,
-             jobs=None, backend="interp", partitioner="greedy",
-             cache_dir=None):
+             jobs=None, backend="interp", cache_dir=None):
     names = order if subset is None else [n for n in order if n in subset]
     gains = {label: {} for label in labels}
     evaluations = evaluate_workloads(
         table, names, strategies, jobs=jobs, backend=backend, verify=verify,
-        partitioner=partitioner, cache_dir=cache_dir,
+        cache_dir=cache_dir,
     )
     for name in names:
         evaluation = evaluations[name]
@@ -56,7 +55,7 @@ def _collect(title, table, order, strategies, labels, verify=True, subset=None,
 
 
 def figure7(verify=True, subset=None, jobs=None, backend="interp",
-            partitioner="greedy", cache_dir=None):
+            cache_dir=None):
     """Figure 7: kernel performance gains (CB and Ideal)."""
     return _collect(
         "Figure 7: Performance Gain for DSP Kernels",
@@ -68,13 +67,12 @@ def figure7(verify=True, subset=None, jobs=None, backend="interp",
         subset=subset,
         jobs=jobs,
         backend=backend,
-        partitioner=partitioner,
         cache_dir=cache_dir,
     )
 
 
 def figure8(verify=True, subset=None, jobs=None, backend="interp",
-            partitioner="greedy", cache_dir=None):
+            cache_dir=None):
     """Figure 8: application gains (CB, Pr, Dup, Ideal)."""
     return _collect(
         "Figure 8: Performance Gain for DSP Applications",
@@ -86,6 +84,5 @@ def figure8(verify=True, subset=None, jobs=None, backend="interp",
         subset=subset,
         jobs=jobs,
         backend=backend,
-        partitioner=partitioner,
         cache_dir=cache_dir,
     )

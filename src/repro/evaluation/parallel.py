@@ -902,8 +902,7 @@ def _worker_cache(cache_dir):
     return process_compile_cache(cache_dir, memory=_PROCESS_CACHE)
 
 
-def _measure_pair(name, strategy_name, backend, verify, partitioner="greedy",
-                  cache_dir=None):
+def _measure_pair(name, strategy_name, backend, verify, cache_dir=None):
     """Worker entry point: one (workload, strategy) measurement."""
     from repro.workloads.registry import get_workload
 
@@ -915,13 +914,13 @@ def _measure_pair(name, strategy_name, backend, verify, partitioner="greedy",
         counts = _profile_counts(workload, backend, cache)
     measurement, _compiled, _result = _run_once(
         workload, strategy, profile_counts=counts, verify=verify,
-        backend=backend, cache=cache, partitioner=partitioner,
+        backend=backend, cache=cache,
     )
     return name, measurement
 
 
 def evaluate_workloads(table, names, strategies, jobs=None, backend="interp",
-                       verify=True, partitioner="greedy", cache_dir=None):
+                       verify=True, cache_dir=None):
     """Evaluate *names* (keys of *table*) under *strategies* in parallel.
 
     Returns ``{name: WorkloadEvaluation}`` in *names* order.  With
@@ -931,9 +930,6 @@ def evaluate_workloads(table, names, strategies, jobs=None, backend="interp",
     in-memory cache could never hit and fingerprinting each module for
     it would be pure overhead.  With ``jobs > 1`` the (workload,
     strategy) pairs fan out across a process pool.
-    ``partitioner`` selects the interference-graph partitioner for every
-    CB-family configuration (measurements are deterministic per
-    partitioner, so serial and fanned-out runs agree for any choice).
     ``cache_dir`` routes every compile through the persistent artifact
     store at that path (:mod:`repro.serve.store`) — serial and worker
     legs alike — so repeated evaluations skip recompilation entirely;
@@ -947,7 +943,7 @@ def evaluate_workloads(table, names, strategies, jobs=None, backend="interp",
         return {
             name: evaluate_workload(
                 table[name], strategies, verify=verify, backend=backend,
-                cache=cache, partitioner=partitioner,
+                cache=cache,
             )
             for name in names
         }
@@ -956,13 +952,10 @@ def evaluate_workloads(table, names, strategies, jobs=None, backend="interp",
     tasks = []
     for name in names:
         tasks.append(
-            (name, Strategy.SINGLE_BANK.name, backend, verify, partitioner,
-             cache_dir)
+            (name, Strategy.SINGLE_BANK.name, backend, verify, cache_dir)
         )
         for strategy in wanted:
-            tasks.append(
-                (name, strategy.name, backend, verify, partitioner, cache_dir)
-            )
+            tasks.append((name, strategy.name, backend, verify, cache_dir))
 
     collected = {name: {} for name in names}
     for name, measurement in supervised_map(_measure_pair, tasks, jobs=jobs,

@@ -20,9 +20,12 @@ study; ``tests/evaluation/test_partition_gap.py`` regenerates it and
 compares field for field.
 """
 
+from repro.compiler import compile_module
+from repro.cost.model import CostModel
 from repro.evaluation.runner import _ratio, _run_once
 from repro.partition.registry import PARTITIONERS
 from repro.partition.strategies import Strategy
+from repro.sim import make_simulator
 
 __all__ = ["measure_gap", "partition_gap"]
 
@@ -39,7 +42,9 @@ def measure_gap(name, backend="interp"):
     cycles / PG / CI / PCR, plus the per-partitioner gap ratio to the
     exact solver's cost.  Every run is verified against the workload's
     reference model — a partitioner that broke semantics would fault
-    here, not skew the numbers.
+    here, not skew the numbers.  This is the one evaluation that picks
+    a partitioner, so it compiles through the compiler option directly
+    rather than through the greedy-only runner.
     """
     from repro.workloads.registry import get_workload
 
@@ -50,18 +55,22 @@ def measure_gap(name, backend="interp"):
     per_partitioner = {}
     graph_nodes = None
     for partitioner in sorted(PARTITIONERS):
-        measurement, compiled, _result = _run_once(
-            workload, GAP_STRATEGY, backend=backend, partitioner=partitioner
+        compiled = compile_module(
+            workload.build(), strategy=GAP_STRATEGY, partitioner=partitioner
         )
+        simulator = make_simulator(compiled.program, backend=backend)
+        result = simulator.run()
+        workload.verify(simulator)
+        cost = CostModel().measure(compiled, result).total
         partition = compiled.allocation.partition
         graph_nodes = len(compiled.allocation.graph)
-        pg = _ratio(baseline.cycles, measurement.cycles)
-        ci = _ratio(measurement.cost.total, baseline.cost.total)
+        pg = _ratio(baseline.cycles, result.cycles)
+        ci = _ratio(cost, baseline.cost.total)
         per_partitioner[partitioner] = {
             "initial_cost": partition.initial_cost,
             "final_cost": partition.final_cost,
             "proved_optimal": partition.proved_optimal,
-            "cycles": measurement.cycles,
+            "cycles": result.cycles,
             "pg": pg,
             "ci": ci,
             "pcr": pg / ci if ci else float("inf"),

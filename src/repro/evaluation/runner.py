@@ -106,19 +106,17 @@ def module_fingerprint(module):
     return digest.hexdigest()
 
 
-def _compile_cached(workload, strategy, profile_counts, cache,
-                    partitioner="greedy"):
+def _compile_cached(workload, strategy, profile_counts, cache):
     """Compile *workload*, consulting the content-keyed *cache*.
 
-    The key is (module content hash, strategy, frozen profile counts,
-    partitioner), so any two identical builds share one compile.
+    The key is (module content hash, strategy, frozen profile counts),
+    so any two identical builds share one compile.
     Compiled programs are immutable under simulation (each simulator run
     owns fresh memory), so cache hits skip the whole compile pipeline.
     """
     if cache is None:
         return compile_module(
-            workload.build(), strategy=strategy,
-            profile_counts=profile_counts, partitioner=partitioner,
+            workload.build(), strategy=strategy, profile_counts=profile_counts
         )
     module = workload.build()
     profile_key = (
@@ -126,22 +124,19 @@ def _compile_cached(workload, strategy, profile_counts, cache,
         if profile_counts is None
         else tuple(sorted(profile_counts.items()))
     )
-    key = (module_fingerprint(module), strategy, profile_key, partitioner)
+    key = (module_fingerprint(module), strategy, profile_key)
     compiled = cache.get(key)
     if compiled is None:
         compiled = compile_module(
-            module, strategy=strategy, profile_counts=profile_counts,
-            partitioner=partitioner,
+            module, strategy=strategy, profile_counts=profile_counts
         )
         cache[key] = compiled
     return compiled
 
 
 def _run_once(workload, strategy, profile_counts=None, verify=True,
-              backend="interp", cache=None, partitioner="greedy"):
-    compiled = _compile_cached(
-        workload, strategy, profile_counts, cache, partitioner=partitioner
-    )
+              backend="interp", cache=None):
+    compiled = _compile_cached(workload, strategy, profile_counts, cache)
     simulator = make_simulator(compiled.program, backend=backend)
     result = simulator.run()
     if verify:
@@ -156,15 +151,13 @@ def _run_once(workload, strategy, profile_counts=None, verify=True,
 
 
 def evaluate_workload(workload, strategies, verify=True, backend="interp",
-                      cache=None, partitioner="greedy"):
+                      cache=None):
     """Measure *workload* under *strategies* (baseline always included).
 
     ``backend`` selects the simulator backend (``interp``, ``jit``, or
-    ``batch`` — see :mod:`repro.sim`); ``partitioner`` the
-    interference-graph partitioner the CB-family strategies use
-    (:data:`~repro.partition.registry.PARTITIONERS`); ``cache`` is an
-    optional dict used as a content-keyed compiled-program cache shared
-    across evaluations.
+    ``batch`` — see :mod:`repro.sim`); ``cache`` is an optional dict
+    used as a content-keyed compiled-program cache shared across
+    evaluations.
     """
     measurements = {}
     baseline, base_compiled, base_result = _run_once(
@@ -183,7 +176,7 @@ def evaluate_workload(workload, strategies, verify=True, backend="interp",
             counts = profile
         measurement, _compiled, _result = _run_once(
             workload, strategy, profile_counts=counts, verify=verify,
-            backend=backend, cache=cache, partitioner=partitioner,
+            backend=backend, cache=cache,
         )
         measurements[strategy] = measurement
     return WorkloadEvaluation(workload.name, workload.category, measurements)

@@ -37,18 +37,15 @@ class SweepPoint:
         )
 
 
-def _measure(module, strategy, observe=None, backend="interp",
-             partitioner="greedy"):
-    compiled = compile_module(
-        module, strategy=strategy, observe=observe, partitioner=partitioner
-    )
+def _measure(module, strategy, observe=None, backend="interp"):
+    compiled = compile_module(module, strategy=strategy, observe=observe)
     simulator = make_simulator(compiled.program, backend=backend)
     result = simulator.run()
     return result.cycles, CostModel().measure(compiled, result).total
 
 
 def sweep(factory, parameters, strategies, observe=None, journal=None,
-          backend="interp", partitioner="greedy"):
+          backend="interp"):
     """Measure ``factory(parameter)`` under each strategy.
 
     ``factory`` must return a fresh module per call. Returns
@@ -71,12 +68,6 @@ def sweep(factory, parameters, strategies, observe=None, journal=None,
     results are bit-identical across backends, so it is purely a
     throughput knob.  Journals written under one backend resume under
     any other (the checkpoint key is backend-independent by design).
-
-    ``partitioner`` selects the interference-graph partitioner
-    (:data:`~repro.partition.registry.PARTITIONERS`).  Unlike the
-    backend it *does* change measurements, so non-default choices are
-    part of the checkpoint key; greedy keeps the historical key shape,
-    so existing journals resume unchanged.
     """
     if observe is None:
         from repro.obs.core import NULL_RECORDER as observe
@@ -94,10 +85,9 @@ def sweep(factory, parameters, strategies, observe=None, journal=None,
             if journal is not None:
                 from repro.evaluation.parallel import Journal
 
-                point = ("sweep", repr(parameter), strategy.name)
-                if partitioner != "greedy":
-                    point += (partitioner,)
-                key = Journal.key_for(point)
+                key = Journal.key_for(
+                    ("sweep", repr(parameter), strategy.name)
+                )
 
                 if key in journal.completed:
                     cycles, cost = journal.completed[key]
@@ -107,12 +97,11 @@ def sweep(factory, parameters, strategies, observe=None, journal=None,
             with observe.span("point") as span:
                 cycles, cost = _measure(
                     factory(parameter), strategy, observe=observe,
-                    backend=backend, partitioner=partitioner,
+                    backend=backend,
                 )
                 span.set(
                     parameter=parameter,
                     strategy=strategy.name,
-                    partitioner=partitioner,
                     cycles=cycles,
                     cost=cost,
                 )
@@ -126,18 +115,14 @@ def sweep(factory, parameters, strategies, observe=None, journal=None,
 # ----------------------------------------------------------------------
 # Predefined studies
 # ----------------------------------------------------------------------
-def kernel_size_sweep(taps_list=(8, 16, 32, 64, 128), backend="interp",
-                      partitioner="greedy"):
+def kernel_size_sweep(taps_list=(8, 16, 32, 64, 128), backend="interp"):
     """CB gain for an FIR filter as the tap count grows."""
     from repro.workloads.kernels.fir import Fir
 
     def factory(taps):
         return Fir(taps, 4).build()
 
-    rows = sweep(
-        factory, taps_list, [Strategy.CB], backend=backend,
-        partitioner=partitioner,
-    )
+    rows = sweep(factory, taps_list, [Strategy.CB], backend=backend)
     series = []
     for taps in taps_list:
         base = rows[taps][Strategy.SINGLE_BANK].cycles

@@ -40,14 +40,13 @@ class Table3:
 
 
 def table3(verify=True, subset=None, jobs=None, backend="interp",
-           partitioner="greedy", cache_dir=None):
+           cache_dir=None):
     """Measure every application under the four Table 3 configurations.
 
     ``jobs`` fans the (application, configuration) pipelines out across
     worker processes; ``backend`` selects the simulator backend;
-    ``partitioner`` the interference-graph partitioner for the
-    CB-family configurations; ``cache_dir`` reads every compile
-    through the persistent artifact store at that path.
+    ``cache_dir`` reads every compile through the persistent artifact
+    store at that path.
     """
     strategies = [strategy for _label, strategy in TABLE3_CONFIGS]
     rows = {}
@@ -58,7 +57,7 @@ def table3(verify=True, subset=None, jobs=None, backend="interp",
     )
     evaluations = evaluate_workloads(
         APPLICATIONS, names, strategies, jobs=jobs, backend=backend,
-        verify=verify, partitioner=partitioner, cache_dir=cache_dir,
+        verify=verify, cache_dir=cache_dir,
     )
     for name in names:
         evaluation = evaluations[name]

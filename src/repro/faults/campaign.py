@@ -45,14 +45,13 @@ def campaign_workloads():
     return table
 
 
-def run_task(workload_name, strategy_name, backend, seed,
-             partitioner="greedy"):
+def run_task(workload_name, strategy_name, backend, seed):
     """Worker entry point: one fault experiment, returned as a JSON-able
     row (the unit :func:`supervised_map` journals and retries)."""
     workload = campaign_workloads()[workload_name]
     return run_experiment(
         workload, Strategy[strategy_name], seed, backend=backend,
-        cache=_WORKER_CACHE, partitioner=partitioner,
+        cache=_WORKER_CACHE,
     )
 
 
@@ -115,8 +114,7 @@ def aggregate(rows, backend="interp"):
 
 def fault_campaign(runs, seed=0, jobs=None, workloads=None, strategies=None,
                    backend="interp", journal=None, timeout=None, retries=2,
-                   backoff=0.25, log=None, observe=NULL_RECORDER,
-                   partitioner="greedy"):
+                   backoff=0.25, log=None, observe=NULL_RECORDER):
     """Run a resilience campaign and return its aggregate report.
 
     *runs* seeded experiments (seeds ``seed .. seed+runs-1``) per
@@ -128,11 +126,6 @@ def fault_campaign(runs, seed=0, jobs=None, workloads=None, strategies=None,
     an interrupted campaign rerun with the same journal resumes and
     converges to the same report.  The report embeds *observe*'s
     counters under ``"obs"`` when a real recorder is supplied.
-
-    *partitioner* selects the interference-graph partitioner the
-    CB-family strategies compile with; a non-default choice becomes part
-    of each task (and so of its journal key), while the default keeps
-    the historical task shape so existing greedy journals resume.
     """
     table = campaign_workloads()
     if workloads is None:
@@ -146,9 +139,8 @@ def fault_campaign(runs, seed=0, jobs=None, workloads=None, strategies=None,
     if strategies is None:
         strategies = DEFAULT_STRATEGIES
     strategies = [Strategy[name].name for name in strategies]
-    extra = () if partitioner == "greedy" else (partitioner,)
     tasks = [
-        (workload, strategy, backend, seed + run) + extra
+        (workload, strategy, backend, seed + run)
         for workload in workloads
         for strategy in strategies
         for run in range(runs)
@@ -159,7 +151,6 @@ def fault_campaign(runs, seed=0, jobs=None, workloads=None, strategies=None,
             backoff=backoff, journal=journal, log=log, observe=observe,
         )
     report = aggregate(rows, backend=backend)
-    report["partitioner"] = partitioner
     observe.counter("faults.rows", len(rows))
     if observe is not NULL_RECORDER:
         report["obs"] = observe.to_dict()

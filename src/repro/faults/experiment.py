@@ -160,15 +160,13 @@ def comparable(result):
 
 
 def run_experiment(workload, strategy, seed, backend="interp", events=3,
-                   cache=None, repair=True, partitioner="greedy"):
+                   cache=None, repair=True):
     """One campaign data point: compile *workload* under *strategy*,
     draw a plan from *seed* with the fault-free cycle count as horizon,
     run, classify.
 
     *cache* (a dict) memoizes compiled programs and reference runs
-    across a worker's tasks; *partitioner* selects the
-    interference-graph partitioner the CB-family strategies compile
-    with.  Returns a flat JSON-able row consumed by
+    across a worker's tasks.  Returns a flat JSON-able row consumed by
     :func:`repro.faults.campaign.aggregate`.
     """
     from repro.evaluation.runner import _compile_cached
@@ -187,12 +185,8 @@ def run_experiment(workload, strategy, seed, backend="interp", events=3,
             )
             if cache is not None:
                 cache[profile_key] = counts
-    compiled = _compile_cached(
-        workload, strategy, counts, cache, partitioner=partitioner
-    )
-    reference_key = (
-        "faults-reference", workload.name, strategy.name, backend, partitioner
-    )
+    compiled = _compile_cached(workload, strategy, counts, cache)
+    reference_key = ("faults-reference", workload.name, strategy.name, backend)
     reference = None if cache is None else cache.get(reference_key)
     if reference is None:
         reference = reference_run(compiled.program, backend=backend)

@@ -380,10 +380,6 @@ class FunctionBuilder:
             return
         raise TypeError("cannot assign to %r" % (target,))
 
-    def add_assign(self, target, value):
-        """``target += value`` (re-loads array elements, like C does)."""
-        self.assign(target, target + wrap(value))
-
     def eval(self, expr, want=None):
         """Lower *expr* for its value; returns the operand (advanced use)."""
         return self._lowerer.as_value(expr, want=want)

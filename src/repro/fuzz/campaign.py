@@ -51,23 +51,18 @@ def _failure_summary(exc):
     return (type(exc).__name__, str(exc))
 
 
-def check_seed(seed, max_statements=6, backends=None, partitioners=None):
+def check_seed(seed, max_statements=6, backends=None):
     """Worker entry point: oracle one seed; (seed, None) when it passes.
 
     ``backends`` restricts the oracle's backend-identity stage (None =
     the full :data:`~repro.fuzz.oracle.ORACLE_BACKENDS` set); the CLI's
     ``--backend B`` maps to ``("interp", B)`` — the reference plus the
-    backend under test.  ``partitioners`` similarly restricts the
-    partitioner-identity stage (None = the full
-    :data:`~repro.fuzz.oracle.ORACLE_PARTITIONERS` registry); the CLI's
-    ``--partitioner P`` maps to ``("greedy", P)``.
+    backend under test.
     """
     recipe = generate_recipe(seed, max_statements=max_statements)
     kwargs = {}
     if backends is not None:
         kwargs["backends"] = tuple(backends)
-    if partitioners is not None:
-        kwargs["partitioners"] = tuple(partitioners)
     try:
         check_recipe(recipe, **kwargs)
     except Exception as exc:  # any failure is a finding
@@ -128,7 +123,6 @@ def fuzz_campaign(
     journal=None,
     timeout=None,
     backends=None,
-    partitioners=None,
 ):
     """Run *runs* oracle checks; shrink and archive every failure.
 
@@ -139,9 +133,8 @@ def fuzz_campaign(
     supervised_map`), so crashed workers (and, with a per-seed
     *timeout*, hung ones) are retried.  With a *journal* path, completed
     seeds checkpoint to it, so an interrupted campaign rerun with the
-    same arguments resumes where it stopped.  ``backends`` and
-    ``partitioners`` restrict the corresponding oracle stages per
-    :func:`check_seed`.
+    same arguments resumes where it stopped.  ``backends`` restricts the
+    backend-identity stage per :func:`check_seed`.
     """
     from repro.evaluation.parallel import supervised_map
 
@@ -149,13 +142,7 @@ def fuzz_campaign(
     seeds = range(seed, seed + runs)
     if backends is not None:
         backends = tuple(backends)
-    if partitioners is not None:
-        partitioners = tuple(partitioners)
-    # A restricted partitioner set extends the task tuple (and so the
-    # journal key); the default keeps the historical shape so existing
-    # journals resume.
-    extra = () if partitioners is None else (partitioners,)
-    tasks = [(s, max_statements, backends) + extra for s in seeds]
+    tasks = [(s, max_statements, backends) for s in seeds]
     outcomes = supervised_map(
         check_seed, tasks, jobs=jobs, journal=journal, timeout=timeout,
         log=log,

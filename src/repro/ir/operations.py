@@ -382,10 +382,6 @@ class Operation:
             return self.sources[2] if len(self.sources) > 2 else None
         raise ValueError("%s has no offset operand" % self.opcode.name)
 
-    def replace_sources(self, mapping):
-        """Return sources with registers substituted through *mapping*."""
-        return tuple(mapping.get(s, s) if is_register(s) else s for s in self.sources)
-
     def __repr__(self):
         from repro.ir.printer import format_operation
 

@@ -3,10 +3,6 @@
 from repro.ir.operations import OpCode
 
 
-def format_operand(operand):
-    return repr(operand)
-
-
 def _address(op):
     """Render a memory operation's address: ``base`` or ``base+offset``."""
     text = repr(op.index_operand())

@@ -55,8 +55,7 @@ def _resolve_workload(workload):
     return workload
 
 
-def _measure(workload, strategy, backend, profile_counts=None, verify=True,
-             partitioner="greedy"):
+def _measure(workload, strategy, backend, profile_counts=None, verify=True):
     """One instrumented compile + simulate + verify + profile."""
     from repro.compiler import CompileOptions, compile_module
     from repro.sim import make_simulator
@@ -68,7 +67,6 @@ def _measure(workload, strategy, backend, profile_counts=None, verify=True,
             strategy=strategy,
             profile_counts=profile_counts,
             observe=recorder,
-            partitioner=partitioner,
         ),
     )
     simulator = make_simulator(compiled.program, backend=backend)
@@ -94,17 +92,16 @@ def _pass_rows(recorder):
 
 
 def _configuration(workload, strategy, backend, top, profile_counts=None,
-                   verify=True, partitioner="greedy"):
+                   verify=True):
     recorder, compiled, result = _measure(
         workload, strategy, backend, profile_counts=profile_counts,
-        verify=verify, partitioner=partitioner,
+        verify=verify,
     )
     profile = profile_run(compiled.program, result)
     compile_span = recorder.find("compile")
     return {
         "strategy": strategy.name,
         "label": PAPER_LABELS[strategy],
-        "partitioner": compiled.allocation.partitioner,
         "cycles": result.cycles,
         "operations": result.operations,
         "parallelism": result.parallelism,
@@ -121,7 +118,7 @@ def _configuration(workload, strategy, backend, top, profile_counts=None,
 
 def build_report(workload, strategy=Strategy.CB,
                  baseline=Strategy.SINGLE_BANK, backend="interp", top=10,
-                 verify=True, partitioner="greedy"):
+                 verify=True):
     """Build the observability report as a JSON-ready dict.
 
     Parameters
@@ -138,11 +135,6 @@ def build_report(workload, strategy=Strategy.CB,
         How many hot pcs to keep per configuration.
     verify:
         Check each run against the workload's reference model.
-    partitioner:
-        Interference-graph partitioner name for the CB-family
-        configurations (:data:`~repro.partition.registry.PARTITIONERS`);
-        the ``partition`` compile pass row carries the name, so reports
-        under different partitioners stay distinguishable.
     """
     from repro.sim.tracing import collect_block_counts
 
@@ -160,12 +152,12 @@ def build_report(workload, strategy=Strategy.CB,
     base = _configuration(
         workload, baseline, backend, top,
         profile_counts=profile_counts if baseline.needs_profile else None,
-        verify=verify, partitioner=partitioner,
+        verify=verify,
     )
     target = _configuration(
         workload, strategy, backend, top,
         profile_counts=profile_counts if strategy.needs_profile else None,
-        verify=verify, partitioner=partitioner,
+        verify=verify,
     )
 
     base_cycles = base["cycles"]
@@ -179,7 +171,6 @@ def build_report(workload, strategy=Strategy.CB,
         "workload": workload.name,
         "category": workload.category,
         "backend": backend,
-        "partitioner": partitioner,
         "top": top,
         "baseline": base,
         "strategy": target,

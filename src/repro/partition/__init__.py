@@ -9,7 +9,8 @@ This package implements the two algorithms of paper Section 3:
   partitioner.  The paper's greedy algorithm
   (:mod:`repro.partition.greedy`) is the default of an interchangeable
   registry (:mod:`repro.partition.registry`) that also offers an exact
-  branch-and-bound solver — see ``--partitioner`` on the CLI.
+  branch-and-bound solver, run by ``repro partition-gap`` and the fuzz
+  oracle to measure greedy's cut against the optimum.
 * **Partial data duplication** — duplicate arrays that are accessed twice
   in potentially-parallel memory operations, inserting integrity stores to
   keep both copies coherent (:mod:`repro.partition.duplication`).

@@ -4,11 +4,13 @@ Every entry is a class with the uniform signature
 
     Partitioner(graph, *, seed=0).partition(observe=None) -> PartitionResult
 
-so allocation strategies, the CLI's ``--partitioner`` flag, the fuzz
+so the compiler option (``CompileOptions.partitioner``), the fuzz
 oracle's partitioner stage, and the gap-to-optimal evaluation can all
-swap algorithms freely — one campaign seed steers greedy's tie-breaks
-(and through them the exact solver's incumbent).  The registered
-algorithms:
+swap algorithms freely — one seed steers greedy's tie-breaks (and
+through them the exact solver's incumbent).  Every command and the
+serve protocol compile with greedy; the exact solver changes no
+reported cycle count, so it is a measuring instrument, not a user
+option.  The registered algorithms:
 
 ``greedy``
     the paper's O(v^2) node-moving descent (Figure 5) — the default;
@@ -20,9 +22,9 @@ algorithms:
 
 Adding an entry here is deliberately load-bearing:
 ``tests/test_partitioner_registry.py`` asserts every registered name is
-selectable from every CLI command with a ``--partitioner`` flag and is
 covered by the fuzz oracle's partitioner stage, so a partitioner cannot
-ship without differential coverage.
+ship without differential coverage (and that no CLI command grows a
+``--partitioner`` flag again).
 """
 
 from repro.partition.exact import ExactPartitioner

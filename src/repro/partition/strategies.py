@@ -127,8 +127,7 @@ def _tag_memory_ops(module):
 
 
 def run_allocation(module, strategy, profile_counts=None, interrupt_safe=True,
-                   observe=None, partitioner=DEFAULT_PARTITIONER,
-                   partitioner_seed=0):
+                   observe=None, partitioner=DEFAULT_PARTITIONER):
     """Run the data-allocation pass over *module* under *strategy*.
 
     The module is mutated (symbol banks, memory-op tags, and — for the
@@ -137,8 +136,7 @@ def run_allocation(module, strategy, profile_counts=None, interrupt_safe=True,
 
     ``partitioner`` names the interference-graph partitioner
     (:data:`~repro.partition.registry.PARTITIONERS`; the paper's greedy
-    by default) used by the CB-family strategies; ``partitioner_seed``
-    is the one seed steering greedy's tie-breaks.
+    by default) used by the CB-family strategies.
     Partitioners only move the cut cost, never program semantics, so
     every choice compiles to a correct program (the fuzz oracle's
     partitioner stage checks exactly that).
@@ -200,9 +198,9 @@ def run_allocation(module, strategy, profile_counts=None, interrupt_safe=True,
             duplication_candidates=len(graph.duplication_candidates),
         )
     with observe.span("partition") as span:
-        partition = make_partitioner(
-            graph, partitioner, seed=partitioner_seed
-        ).partition(observe=observe)
+        partition = make_partitioner(graph, partitioner).partition(
+            observe=observe
+        )
         span.set(
             partitioner=partitioner,
             initial_cost=partition.initial_cost,

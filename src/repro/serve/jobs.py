@@ -3,7 +3,7 @@ store, simulate, summarize.
 
 A **job** (validated by :func:`repro.serve.protocol.validate_job`)
 names a program — a registry workload or a fuzz recipe — plus a
-strategy, partitioner, backend, optional per-instance global ``writes``
+strategy, backend, optional per-instance global ``writes``
 and a ``reads`` list.  This module turns jobs into results:
 
 * :func:`job_compile_key` — the canonical coalescing key: jobs with
@@ -35,16 +35,16 @@ from repro.serve.store import canonical_key, process_compile_cache
 
 #: fields of a job that determine the compiled program (everything but
 #: the backend, the per-instance inputs, and the response shaping)
-_COMPILE_FIELDS = ("kind", "workload", "recipe", "strategy", "partitioner")
+_COMPILE_FIELDS = ("kind", "workload", "recipe", "strategy")
 
 
 def job_compile_key(job):
     """Canonical string key of the compile a job needs.
 
-    Jobs sharing this key — same program source, strategy, and
-    partitioner — compile to one machine program and may execute as
-    lanes of one lockstep batch, whatever backends they each asked for
-    (all backends are bit-identical, a fuzz-oracle invariant).
+    Jobs sharing this key — same program source and strategy — compile
+    to one machine program and may execute as lanes of one lockstep
+    batch, whatever backends they each asked for (all backends are
+    bit-identical, a fuzz-oracle invariant).
     """
     return canonical_key(
         {field: job.get(field) for field in _COMPILE_FIELDS}
@@ -111,17 +111,12 @@ def compile_for_job(job, cache):
 
     source = _JobSource(job, store=getattr(cache, "store", None))
     strategy = Strategy[job["strategy"]]
-    partitioner = job["partitioner"]
     profile_counts = None
     if strategy.needs_profile:
-        baseline = _compile_cached(
-            source, Strategy.SINGLE_BANK, None, cache, partitioner=partitioner
-        )
+        baseline = _compile_cached(source, Strategy.SINGLE_BANK, None, cache)
         result = make_simulator(baseline.program).run()
         profile_counts = collect_block_counts(baseline.program, result)
-    compiled = _compile_cached(
-        source, strategy, profile_counts, cache, partitioner=partitioner
-    )
+    compiled = _compile_cached(source, strategy, profile_counts, cache)
     return compiled, getattr(cache, "last_source", None)
 
 

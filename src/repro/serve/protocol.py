@@ -10,7 +10,7 @@ freely — clients correlate on ``id``.
 Job schema (``kind`` selects the payload)::
 
     {"kind": "run",    "workload": "fir_32_1",
-     "strategy": "CB", "partitioner": "greedy", "backend": "interp",
+     "strategy": "CB", "backend": "interp",
      "writes": {"x": [..]}, "reads": ["out"], "id": "optional"}
     {"kind": "recipe", "recipe": {...fuzz recipe dict...},
      "strategy": "CB", ...}
@@ -27,7 +27,7 @@ one-to-one from :mod:`repro.sim.errors`:
 * ``program`` / ``machine`` / ``internal`` — the structured simulator
   taxonomy, with ``pc``/``cycle``/``backend`` carried through;
 * ``protocol`` — the request itself was malformed (unparseable JSON,
-  unknown kind/strategy/backend/partitioner, an unknown top-level
+  unknown kind/strategy/backend, an unknown top-level
   field, a line over :data:`MAX_LINE_BYTES`, a truncated final line,
   bad field types); the offending field is named in ``message``;
 * ``deadline`` — the job carried a ``deadline_ms`` budget that expired
@@ -46,7 +46,6 @@ See ``docs/serving.md`` for the full schema and worked transcripts.
 import hashlib
 import json
 
-from repro.partition.registry import PARTITIONERS
 from repro.partition.strategies import Strategy
 from repro.sim.errors import categorize
 from repro.sim import BACKENDS
@@ -64,7 +63,7 @@ MAX_LINE_BYTES = 4 * 1024 * 1024
 #: a typo or a version skew and is rejected with a ``protocol`` error
 #: instead of being silently dropped
 JOB_FIELDS = frozenset((
-    "kind", "id", "strategy", "partitioner", "backend", "writes", "reads",
+    "kind", "id", "strategy", "backend", "writes", "reads",
     "workload", "recipe", "tenant", "deadline_ms",
 ))
 
@@ -123,7 +122,7 @@ def validate_job(obj):
     """Validate and normalize one job submission.
 
     Returns a plain-JSON job dict with every optional field defaulted
-    (``strategy`` CB, ``partitioner`` greedy, ``backend`` interp, empty
+    (``strategy`` CB, ``backend`` interp, empty
     ``writes``/``reads``); raises :class:`JobError` naming the offending
     field otherwise.  Ids are the caller's business: the service assigns
     one when absent.
@@ -144,7 +143,6 @@ def validate_job(obj):
     job = {
         "kind": kind,
         "strategy": obj.get("strategy", "CB"),
-        "partitioner": obj.get("partitioner", "greedy"),
         "backend": obj.get("backend", "interp"),
         "writes": obj.get("writes") or {},
         "reads": obj.get("reads") or [],
@@ -161,7 +159,6 @@ def validate_job(obj):
             )
         job["deadline_ms"] = float(deadline_ms)
     _require_name(job, "strategy", Strategy.__members__, "strategy")
-    _require_name(job, "partitioner", PARTITIONERS, "partitioner")
     if job["backend"] == "fast":
         # wire alias of the retired threaded-code backend: jit runs the
         # same program to the same bit-identical result

@@ -1,8 +1,8 @@
 """Persistent content-addressed artifact store for compiled programs.
 
 The in-process compile cache (:func:`repro.evaluation.runner._compile_cached`
-keyed by module fingerprint x strategy x profile x partitioner) dies with
-every process, so campaign and CLI workloads recompile the same programs
+keyed by module fingerprint x strategy x profile) dies with every
+process, so campaign and CLI workloads recompile the same programs
 forever.  This module promotes it to disk:
 
 * :class:`ArtifactStore` — a content-addressed object store.  The key
@@ -60,7 +60,7 @@ def compile_key(fingerprint, options_sig, profile_key=None):
     ``fingerprint`` is the :func:`~repro.evaluation.runner.module_fingerprint`
     content hash, ``options_sig`` the
     :func:`~repro.compiler.pipeline.options_signature` pairs (strategy,
-    partitioner, partitioner_seed, optional passes), ``profile_key`` the
+    cut heuristic, optional passes), ``profile_key`` the
     frozen profile counts a ``Pr`` compile consumed (None otherwise).
     ``format`` pins :data:`FORMAT_VERSION` so layout changes invalidate
     old entries wholesale.
@@ -257,10 +257,6 @@ class ArtifactStore:
         found.sort(key=lambda item: item[2])
         return found
 
-    def total_bytes(self):
-        """Sum of all entry sizes currently on disk."""
-        return sum(size for _path, size, _mtime in self.entries())
-
     def evict(self):
         """Delete least-recently-used entries until the store fits
         ``max_bytes``.  The most recently touched entry always
@@ -335,12 +331,12 @@ class CompileCache:
 
     Speaks the dict protocol :func:`repro.evaluation.runner._compile_cached`
     expects — ``get(key)`` and ``cache[key] = compiled`` with the
-    in-memory 4-tuple key ``(fingerprint, strategy, profile_key,
-    partitioner)`` — and translates that tuple to the canonical
-    persistent key (:func:`compile_key` over the full
-    :func:`~repro.compiler.pipeline.options_signature`, so
-    ``partitioner_seed`` and the optional passes are pinned to their
-    defaults rather than silently ignored).
+    in-memory 3-tuple key ``(fingerprint, strategy, profile_key)`` — and
+    translates that tuple to the canonical persistent key
+    (:func:`compile_key` over the full
+    :func:`~repro.compiler.pipeline.options_signature`, so the cut
+    heuristic and the optional passes are pinned to their defaults
+    rather than silently ignored).
 
     ``last_source`` records where the most recent lookup was satisfied:
     ``"memory"``, ``"store"``, or ``"compile"`` (a miss the caller is
@@ -354,11 +350,11 @@ class CompileCache:
 
     @staticmethod
     def persistent_key(key):
-        """Map the in-memory 4-tuple to the canonical store key dict."""
+        """Map the in-memory 3-tuple to the canonical store key dict."""
         from repro.compiler.pipeline import CompileOptions, options_signature
 
-        fingerprint, strategy, profile_key, partitioner = key
-        options = CompileOptions(strategy=strategy, partitioner=partitioner)
+        fingerprint, strategy, profile_key = key
+        options = CompileOptions(strategy=strategy)
         return compile_key(
             fingerprint, options_signature(options), profile_key
         )

@@ -4,8 +4,8 @@ This module is the simulators' profiling hook surface: every backend
 records per-pc execution counts during every run (the jit backend
 settles its fused superblocks' interior counts before returning and
 adds whole-loop iteration counts in bulk), and
-everything else — block counts for the ``Pr`` configuration, hot-block
-rollups, the :mod:`repro.obs.profile` conflict ledger — is derived here
+everything else — block counts for the ``Pr`` configuration, the
+:mod:`repro.obs.profile` conflict ledger — is derived here
 *after* the run from ``(program, result)``.  Keeping attribution
 post-run means profiling can never perturb what it measures and the
 jit backend's fused path stays fused.
@@ -31,26 +31,6 @@ def collect_block_counts(program, result):
         if executed > counts.get(label, 0):
             counts[label] = executed
     return counts
-
-
-def collect_hot_blocks(program, result, n=10):
-    """Top-*n* basic blocks by attributed cycles.
-
-    Returns ``(label, cycles, instructions)`` triples, heaviest first
-    (ties broken by label for determinism).  A block's cycles are the
-    sum of its instructions' execution counts — the block-level rollup
-    of the per-pc attribution :mod:`repro.obs.profile` reports.
-    """
-    cycles = {}
-    sizes = {}
-    for index, instruction in enumerate(program.instructions):
-        label = instruction.block_label
-        if label is None:
-            continue
-        cycles[label] = cycles.get(label, 0) + result.pc_counts[index]
-        sizes[label] = sizes.get(label, 0) + 1
-    ranked = sorted(cycles, key=lambda label: (-cycles[label], label))
-    return [(label, cycles[label], sizes[label]) for label in ranked[:n]]
 
 
 def profile_module(module_factory, setup=None, stack_words=16384):

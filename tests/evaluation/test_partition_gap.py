@@ -67,6 +67,17 @@ def test_greedy_gap_is_real_on_trellis(report):
     assert row["gap"]["exact"] == 1.0
 
 
+def test_exact_cut_changes_no_cycle_count(report):
+    """The finding that makes the partitioner a measuring instrument,
+    not an option: on every registry workload the exact cut runs in
+    exactly greedy's cycles, trellis (greedy 5% off-optimal) included.
+    A partitioner or workload that breaks this is news, not a bound to
+    loosen."""
+    for name in report["order"]:
+        entries = report["workloads"][name]["partitioners"]
+        assert entries["exact"]["cycles"] == entries["greedy"]["cycles"], name
+
+
 def test_aggregate_counts(report):
     aggregate = report["aggregate"]
     total = len(report["order"])

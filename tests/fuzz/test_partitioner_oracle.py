@@ -30,8 +30,8 @@ def test_partitioner_stage_clean_on_seed(seed):
 
 
 def test_restricted_partitioner_set_runs():
-    """The CLI's ``--partitioner P`` restriction — greedy plus one other
-    entry — is a valid oracle configuration."""
+    """A restricted stage — greedy plus one other entry — is a valid
+    oracle configuration."""
     check_recipe(generate_recipe(0), partitioners=("greedy", "exact"))
 
 

@@ -18,7 +18,7 @@ def test_report_structure(fir_report):
     assert fir_report["workload"] == "fir_32_1"
     assert fir_report["backend"] == "interp"
     assert set(fir_report) == {
-        "workload", "category", "backend", "top", "partitioner",
+        "workload", "category", "backend", "top",
         "baseline", "strategy", "deltas",
     }
     for config in (fir_report["baseline"], fir_report["strategy"]):

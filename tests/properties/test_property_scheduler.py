@@ -1,6 +1,6 @@
 """Property-based tests for compaction: every schedule must be legal."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.dependence import DepKind, build_dependence_graph
@@ -124,11 +124,33 @@ def test_schedule_is_complete_and_legal(block, dual_ported):
                 assert a <= b, (src, dst, kinds)
 
 
+def _ideal_anomaly_block():
+    """Six ops that list-schedule into 2 instructions banked but 3
+    dual-ported: with both memory units free, the greedy scheduler packs
+    the two X-bank stores of ``f0`` together, which delays the Y-bank
+    load feeding the ``fadd`` that overwrites ``f0`` (a Graham anomaly)."""
+    f0, f1 = (VirtualRegister(i, RegClass.FLOAT) for i in range(2))
+    r10, r11, r12 = (VirtualRegister(i, RegClass.INT) for i in (10, 11, 12))
+    m0, m1 = _SYMBOLS[0], _SYMBOLS[1]  # X bank, Y bank
+    block = BasicBlock("anomaly")
+    block.ops = [
+        Operation(OpCode.STORE, sources=(f0, Immediate(0)), symbol=m0,
+                  bank=m0.bank),
+        Operation(OpCode.STORE, sources=(f0, Immediate(1)), symbol=m0,
+                  bank=m0.bank),
+        Operation(OpCode.LOAD, dest=f1, sources=(Immediate(0),), symbol=m1,
+                  bank=m1.bank),
+        Operation(OpCode.FADD, dest=f0, sources=(f1, f1)),
+        Operation(OpCode.ADD, dest=r10, sources=(r11, r12)),
+        Operation(OpCode.ADD, dest=r10, sources=(r11, r12)),
+    ]
+    return block
+
+
 @given(random_blocks())
+@example(_ideal_anomaly_block())
 @settings(max_examples=100, deadline=None)
 def test_dual_ported_never_slower(block):
-    import copy
-
     ops = list(block.ops)
     block_a = BasicBlock("a")
     block_a.ops = list(ops)

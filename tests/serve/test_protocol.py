@@ -20,7 +20,6 @@ def _run_job(**overrides):
 def test_defaults_are_filled_in():
     job = validate_job(_run_job())
     assert job["strategy"] == "CB"
-    assert job["partitioner"] == "greedy"
     assert job["backend"] == "interp"
     assert job["writes"] == {}
     assert job["reads"] == []
@@ -29,7 +28,7 @@ def test_defaults_are_filled_in():
 
 def test_explicit_fields_survive():
     job = validate_job(_run_job(
-        id=17, strategy="CB_DUP", partitioner="exact", backend="fast",
+        id=17, strategy="CB_DUP", backend="fast",
         writes={"x": [1, 2]}, reads=["y"],
     ))
     assert job["id"] == "17"  # ids normalize to strings
@@ -51,6 +50,9 @@ def test_explicit_fields_survive():
         ({"writes": [1, 2]}, "writes"),
         ({"reads": "y"}, "reads"),
         ({"partitioner": "anneal"}, "partitioner"),
+        # every job compiles with greedy: the field itself is retired
+        ({"partitioner": "greedy"}, "partitioner"),
+        ({"partitioner": "exact"}, "partitioner"),
     ],
 )
 def test_bad_fields_are_named(overrides, field):

@@ -128,16 +128,21 @@ def test_restart_reexecutes_accepted_but_unfinished_jobs(tmp_path):
 def test_recovery_revalidates_journaled_jobs(tmp_path):
     """A job an older service journaled as started is normalized through
     the protocol on recovery: ``backend: "fast"`` (the wire alias of the
-    retired backend) runs on jit, and a job that no longer validates
-    ends in the structured protocol error, never an internal one."""
+    retired backend) runs on jit, and a job that no longer validates —
+    an unknown backend, or the retired ``partitioner`` field every job
+    used to carry — ends in the structured protocol error, never an
+    internal one."""
     journal_path = str(tmp_path / "journal.jsonl")
-    defaults = {"strategy": "CB", "partitioner": "greedy", "writes": {},
-                "reads": []}
+    defaults = {"strategy": "CB", "writes": {}, "reads": []}
     fast = dict(defaults, kind="run", workload="fir_32_1", backend="fast",
                 id="old-fast")
     stale = dict(defaults, kind="run", workload="fir_32_1",
                  backend="turbo", id="old-stale")
-    keys = {job["id"]: Journal.key_for([job]) for job in (fast, stale)}
+    partitioned = dict(defaults, kind="run", workload="fir_32_1",
+                       backend="interp", partitioner="greedy",
+                       id="old-partitioned")
+    keys = {job["id"]: Journal.key_for([job])
+            for job in (fast, stale, partitioned)}
     journal = Journal(journal_path)
     for key in keys.values():
         journal.mark_started(key, 1)
@@ -153,7 +158,7 @@ def test_recovery_revalidates_journaled_jobs(tmp_path):
 
     stats = _with_service(recover, journal=journal_path)
     assert stats["serve.recovered"] == 1
-    assert stats["serve.protocol_errors"] == 1
+    assert stats["serve.protocol_errors"] == 2
     completed = _journal_completed(journal_path)
     result = completed[keys["old-fast"]]
     assert result["event"] == "result"
@@ -166,6 +171,11 @@ def test_recovery_revalidates_journaled_jobs(tmp_path):
     assert error["category"] == "protocol"
     assert error["field"] == "backend"
     assert error["id"] == "old-stale"
+    error = completed[keys["old-partitioned"]]
+    assert error["event"] == "error"
+    assert error["category"] == "protocol"
+    assert error["field"] == "partitioner"
+    assert error["id"] == "old-partitioned"
 
 
 def test_revalidation_keeps_the_tenant_seed_space():

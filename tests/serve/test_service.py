@@ -99,13 +99,10 @@ def test_writes_change_results_identically(tmp_path):
 # ---------------------------------------------------------------------
 def test_identical_jobs_share_one_compile_key():
     a = {"kind": "run", "workload": "fir_32_1", "strategy": "CB",
-         "partitioner": "greedy", "backend": "interp"}
+         "backend": "interp"}
     b = dict(a, backend="fast", writes={"x": [1.0]}, id="other")
     assert job_compile_key(a) == job_compile_key(b)
     assert job_compile_key(a) != job_compile_key(dict(a, strategy="CB_DUP"))
-    assert job_compile_key(a) != job_compile_key(
-        dict(a, partitioner="exact")
-    )
 
 
 def test_compatible_jobs_coalesce_onto_batch_backend(tmp_path):
@@ -179,12 +176,14 @@ def test_protocol_and_program_errors_are_categorized(tmp_path):
                 {"kind": "run", "workload": "fir_32_1", "reads": ["nope"]},
                 {"kind": "run", "workload": "fir_32_1",
                  "writes": {"x": [0.0] * 99}},
+                {"kind": "run", "workload": "fir_32_1",
+                 "partitioner": "greedy"},
             ])
             raw = client.send({"kind": "mystery"}) or client.read_event()
         return events, raw
 
     events, raw = _with_service(body, cache_dir=str(tmp_path))
-    assert [e["event"] for e in events] == ["error"] * 4
+    assert [e["event"] for e in events] == ["error"] * 5
     assert events[0]["category"] == "protocol"
     assert events[0]["field"] == "workload"
     assert events[1]["category"] == "protocol"
@@ -192,6 +191,8 @@ def test_protocol_and_program_errors_are_categorized(tmp_path):
     assert events[2]["kind"] == "UnknownGlobal"
     assert events[3]["category"] == "program"
     assert events[3]["kind"] == "BadWrite"
+    assert events[4]["category"] == "protocol"
+    assert events[4]["field"] == "partitioner"
     assert raw["category"] == "protocol" and raw["field"] == "kind"
 
 

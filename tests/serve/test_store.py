@@ -207,7 +207,6 @@ def test_options_signature_covers_cache_relevant_fields():
     changed = [
         CompileOptions(strategy=Strategy.CB_DUP),
         CompileOptions(partitioner="exact"),
-        CompileOptions(partitioner_seed=7),
         CompileOptions(interrupt_safe=False),
         CompileOptions(software_pipelining=True),
         CompileOptions(optimize=True),
@@ -224,7 +223,6 @@ def test_compile_key_drifts_with_options_and_fingerprint():
         compile_key(fingerprint, options_signature(CompileOptions()))
     )
     for options in (
-        CompileOptions(partitioner_seed=3),
         CompileOptions(partitioner="exact"),
         CompileOptions(strategy=Strategy.IDEAL),
     ):

@@ -1,16 +1,18 @@
 """Guard: a new partitioner cannot be registered half-way.
 
-Mirror of ``tests/test_backend_registry.py`` for the partitioner
-registry: every entry in :data:`repro.partition.registry.PARTITIONERS`
-must be selectable from every CLI command that takes ``--partitioner``,
-must be covered by the fuzz oracle's partitioner-identity stage, and
-must honour the uniform ``(graph, *, seed)`` construction contract —
-otherwise a partitioner could ship without differential coverage or
-without the one-campaign-seed determinism story.
+Every entry in :data:`repro.partition.registry.PARTITIONERS` must be
+covered by the fuzz oracle's partitioner-identity stage and must honour
+the uniform ``(graph, *, seed)`` construction contract — otherwise a
+partitioner could ship without differential coverage or without the
+one-seed determinism story.  The partitioner is a compiler option and a
+measuring instrument (``repro partition-gap``), not a user option: no
+CLI command may take ``--partitioner``.
 """
 
 import argparse
 import inspect
+
+import pytest
 
 from repro import __main__ as cli
 from repro.fuzz.oracle import ORACLE_PARTITIONERS
@@ -24,36 +26,26 @@ from repro.partition.registry import (
 )
 
 
-def _partitioner_choices_by_command():
-    """Map CLI command name -> choices of its ``--partitioner`` option."""
+def test_no_cli_command_takes_a_partitioner():
+    """The exact cut changes no cycle count the evaluation reports, so
+    no command offers a partitioner choice."""
     parser = cli.build_parser()
     subparsers = next(
         action
         for action in parser._actions
         if isinstance(action, argparse._SubParsersAction)
     )
-    found = {}
-    for name, command in subparsers.choices.items():
-        for action in command._actions:
-            if "--partitioner" in action.option_strings:
-                found[name] = set(action.choices)
-    return found
-
-
-def test_every_partitioner_is_a_cli_choice_everywhere():
-    by_command = _partitioner_choices_by_command()
-    # the commands that partition must all expose --partitioner
-    for command in ("run", "compare", "figure7", "figure8", "table3",
-                    "report", "fuzz", "faults", "graph"):
-        assert command in by_command, (
-            "%s lost its --partitioner option" % command
-        )
-    for command, choices in by_command.items():
-        missing = set(PARTITIONERS) - choices
-        assert not missing, (
-            "partitioner(s) %s registered in PARTITIONERS but not "
-            "selectable via `%s --partitioner`" % (sorted(missing), command)
-        )
+    offending = sorted(
+        name
+        for name, command in subparsers.choices.items()
+        if any("--partitioner" in action.option_strings
+               for action in command._actions)
+    )
+    assert not offending, (
+        "CLI command(s) %s take --partitioner" % offending
+    )
+    with pytest.raises(SystemExit):
+        parser.parse_args(["run", "trellis", "--partitioner", "exact"])
 
 
 def test_every_partitioner_is_oracle_covered():
@@ -107,8 +99,6 @@ def test_default_partitioner_is_registered():
 
 
 def test_make_partitioner_rejects_unknown_names():
-    import pytest
-
     graph = InterferenceGraph()
     with pytest.raises(ValueError, match="unknown partitioner"):
         make_partitioner(graph, "metis")
