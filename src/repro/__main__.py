@@ -67,9 +67,7 @@ import sys
 from repro.compiler import CompileOptions, compile_module
 from repro.partition.strategies import PAPER_LABELS, Strategy
 from repro.sim import BACKENDS, make_simulator
-from repro.sim.simulator import Simulator
 from repro.sim.statistics import utilization
-from repro.sim.tracing import collect_block_counts
 
 
 def _jobs(args):
@@ -120,37 +118,14 @@ def _cli_cache(args):
     return process_compile_cache(cache_dir)
 
 
-def _profile(workload, cache=None):
-    from repro.evaluation.runner import _compile_cached
-
-    compiled = _compile_cached(workload, Strategy.SINGLE_BANK, None, cache)
-    simulator = Simulator(compiled.program)
-    result = simulator.run()
-    return collect_block_counts(compiled.program, result)
-
-
 def _run_one(workload, strategy, software_pipelining=False, backend="interp",
              cache=None):
-    if software_pipelining:
-        # Pipelined schedules are not part of the persistent cache key
-        # (options_signature covers them, but the in-memory runner key
-        # does not), so compile them directly rather than risk serving
-        # a non-pipelined artifact.
-        cache = None
-    counts = _profile(workload, cache=cache) if strategy.needs_profile else None
-    if cache is None:
-        compiled = compile_module(
-            workload.build(),
-            CompileOptions(
-                strategy=strategy,
-                profile_counts=counts,
-                software_pipelining=software_pipelining,
-            ),
-        )
-    else:
-        from repro.evaluation.runner import _compile_cached
+    from repro.evaluation.runner import compile_workload
 
-        compiled = _compile_cached(workload, strategy, counts, cache)
+    options = CompileOptions(
+        strategy=strategy, software_pipelining=software_pipelining
+    )
+    compiled = compile_workload(workload, options, cache)
     simulator = make_simulator(compiled.program, backend=backend)
     result = simulator.run()
     workload.verify(simulator)

@@ -45,6 +45,7 @@ import time
 import weakref
 from collections import deque
 
+from repro.compiler import CompileOptions
 from repro.evaluation.runner import (
     WorkloadEvaluation,
     _run_once,
@@ -53,7 +54,6 @@ from repro.evaluation.runner import (
 from repro.obs.core import NULL_RECORDER
 from repro.partition.strategies import Strategy
 from repro.sim.errors import describe_fault, from_description
-from repro.sim.tracing import collect_block_counts
 
 #: per-process content-keyed compiled-program cache (worker side)
 _PROCESS_CACHE = {}
@@ -880,16 +880,6 @@ def supervised_map(fn, argument_tuples, jobs=None, timeout=None, retries=2,
     return results
 
 
-def _profile_counts(workload, backend, cache):
-    """Block counts of the single-bank baseline (deterministic, so a
-    worker recomputing them gets the same answer the serial path does)."""
-    _measurement, compiled, result = _run_once(
-        workload, Strategy.SINGLE_BANK, verify=False, backend=backend,
-        cache=cache,
-    )
-    return collect_block_counts(compiled.program, result)
-
-
 def _worker_cache(cache_dir):
     """The compile cache a worker (or the serial leg) reads through:
     the plain per-process dict without a *cache_dir*, the persistent
@@ -906,15 +896,10 @@ def _measure_pair(name, strategy_name, backend, verify, cache_dir=None):
     """Worker entry point: one (workload, strategy) measurement."""
     from repro.workloads.registry import get_workload
 
-    workload = get_workload(name)
-    strategy = Strategy[strategy_name]
-    cache = _worker_cache(cache_dir)
-    counts = None
-    if strategy.needs_profile:
-        counts = _profile_counts(workload, backend, cache)
+    options = CompileOptions(strategy=Strategy[strategy_name])
     measurement, _compiled, _result = _run_once(
-        workload, strategy, profile_counts=counts, verify=verify,
-        backend=backend, cache=cache,
+        get_workload(name), options, verify=verify, backend=backend,
+        cache=_worker_cache(cache_dir),
     )
     return name, measurement
 

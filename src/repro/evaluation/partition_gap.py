@@ -20,12 +20,10 @@ study; ``tests/evaluation/test_partition_gap.py`` regenerates it and
 compares field for field.
 """
 
-from repro.compiler import compile_module
-from repro.cost.model import CostModel
+from repro.compiler import CompileOptions
 from repro.evaluation.runner import _ratio, _run_once
 from repro.partition.registry import PARTITIONERS
 from repro.partition.strategies import Strategy
-from repro.sim import make_simulator
 
 __all__ = ["measure_gap", "partition_gap"]
 
@@ -43,34 +41,31 @@ def measure_gap(name, backend="interp"):
     exact solver's cost.  Every run is verified against the workload's
     reference model — a partitioner that broke semantics would fault
     here, not skew the numbers.  This is the one evaluation that picks
-    a partitioner, so it compiles through the compiler option directly
-    rather than through the greedy-only runner.
+    a partitioner, through the ``partitioner`` compile option.
     """
     from repro.workloads.registry import get_workload
 
     workload = get_workload(name)
     baseline, _compiled, _result = _run_once(
-        workload, Strategy.SINGLE_BANK, backend=backend
+        workload, CompileOptions(strategy=Strategy.SINGLE_BANK),
+        backend=backend,
     )
     per_partitioner = {}
     graph_nodes = None
     for partitioner in sorted(PARTITIONERS):
-        compiled = compile_module(
-            workload.build(), strategy=GAP_STRATEGY, partitioner=partitioner
+        options = CompileOptions(strategy=GAP_STRATEGY, partitioner=partitioner)
+        measurement, compiled, _result = _run_once(
+            workload, options, backend=backend
         )
-        simulator = make_simulator(compiled.program, backend=backend)
-        result = simulator.run()
-        workload.verify(simulator)
-        cost = CostModel().measure(compiled, result).total
         partition = compiled.allocation.partition
         graph_nodes = len(compiled.allocation.graph)
-        pg = _ratio(baseline.cycles, result.cycles)
-        ci = _ratio(cost, baseline.cost.total)
+        pg = _ratio(baseline.cycles, measurement.cycles)
+        ci = _ratio(measurement.cost.total, baseline.cost.total)
         per_partitioner[partitioner] = {
             "initial_cost": partition.initial_cost,
             "final_cost": partition.final_cost,
             "proved_optimal": partition.proved_optimal,
-            "cycles": result.cycles,
+            "cycles": measurement.cycles,
             "pg": pg,
             "ci": ci,
             "pcr": pg / ci if ci else float("inf"),

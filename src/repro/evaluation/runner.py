@@ -4,10 +4,14 @@ Performance is measured exactly as in the paper: cycle counts from the
 instruction-set simulator, reported as gains over the single-bank
 baseline (allocation pass disabled).  The ``Pr`` configuration profiles
 the baseline binary first and feeds block execution counts to the
-allocation pass as edge weights.
+allocation pass as edge weights; :func:`compile_workload` owns that
+step for every caller above the compiler.
 """
 
-from repro.compiler import compile_module
+import copy
+
+from repro.compiler import CompileOptions, compile_module
+from repro.compiler.pipeline import options_signature
 from repro.cost.model import CostModel
 from repro.partition.strategies import Strategy
 from repro.sim import make_simulator
@@ -106,37 +110,57 @@ def module_fingerprint(module):
     return digest.hexdigest()
 
 
-def _compile_cached(workload, strategy, profile_counts, cache):
-    """Compile *workload*, consulting the content-keyed *cache*.
-
-    The key is (module content hash, strategy, frozen profile counts),
-    so any two identical builds share one compile.
-    Compiled programs are immutable under simulation (each simulator run
-    owns fresh memory), so cache hits skip the whole compile pipeline.
-    """
-    if cache is None:
-        return compile_module(
-            workload.build(), strategy=strategy, profile_counts=profile_counts
-        )
-    module = workload.build()
-    profile_key = (
-        None
-        if profile_counts is None
-        else tuple(sorted(profile_counts.items()))
+def profile_counts(source, cache=None):
+    """The ``Pr`` profile of *source*: block label -> execution count in
+    its plain single-bank baseline (default options, compiled through
+    *cache*), run once on the reference ``interp`` backend."""
+    compiled = compile_workload(
+        source, CompileOptions(strategy=Strategy.SINGLE_BANK), cache
     )
-    key = (module_fingerprint(module), strategy, profile_key)
+    result = make_simulator(compiled.program).run()
+    return collect_block_counts(compiled.program, result)
+
+
+def compile_workload(source, options, cache=None, profile=None):
+    """Compile *source* (anything whose ``build()`` returns a fresh
+    module) under *options*: the one place above the compiler that
+    decides how a workload is compiled.
+
+    A strategy that needs a profile is fed *profile*, or without one the
+    :func:`profile_counts` of *source*; other strategies ignore
+    *profile*.  With a *cache* (a dict or a
+    :class:`~repro.serve.store.CompileCache`) the key is (module content
+    hash, :func:`~repro.compiler.pipeline.options_signature`, frozen
+    profile counts), the triple the persistent store key is built from,
+    so any two identical builds share one compile.  Compiled programs
+    are immutable under simulation (each simulator run owns fresh
+    memory), so cache hits skip the whole compile pipeline.  Without a
+    cache the module is compiled directly and never fingerprinted.
+    """
+    if options.strategy.needs_profile:
+        options = copy.copy(options)
+        options.profile_counts = (
+            profile_counts(source, cache) if profile is None else profile
+        )
+    if cache is None:
+        return compile_module(source.build(), options)
+    module = source.build()
+    counts = options.profile_counts
+    key = (
+        module_fingerprint(module),
+        options_signature(options),
+        None if counts is None else tuple(sorted(counts.items())),
+    )
     compiled = cache.get(key)
     if compiled is None:
-        compiled = compile_module(
-            module, strategy=strategy, profile_counts=profile_counts
-        )
+        compiled = compile_module(module, options)
         cache[key] = compiled
     return compiled
 
 
-def _run_once(workload, strategy, profile_counts=None, verify=True,
-              backend="interp", cache=None):
-    compiled = _compile_cached(workload, strategy, profile_counts, cache)
+def _run_once(workload, options, profile=None, verify=True, backend="interp",
+              cache=None):
+    compiled = compile_workload(workload, options, cache, profile)
     simulator = make_simulator(compiled.program, backend=backend)
     result = simulator.run()
     if verify:
@@ -144,7 +168,10 @@ def _run_once(workload, strategy, profile_counts=None, verify=True,
     cost = CostModel().measure(compiled, result)
     duplicated = [s.name for s in compiled.allocation.duplicated]
     return (
-        Measurement(strategy, result.cycles, cost, compiled.code_size, duplicated),
+        Measurement(
+            options.strategy, result.cycles, cost, compiled.code_size,
+            duplicated,
+        ),
         compiled,
         result,
     )
@@ -161,22 +188,19 @@ def evaluate_workload(workload, strategies, verify=True, backend="interp",
     """
     measurements = {}
     baseline, base_compiled, base_result = _run_once(
-        workload, Strategy.SINGLE_BANK, verify=verify, backend=backend,
-        cache=cache,
+        workload, CompileOptions(strategy=Strategy.SINGLE_BANK),
+        verify=verify, backend=backend, cache=cache,
     )
     measurements[Strategy.SINGLE_BANK] = baseline
     profile = None
     for strategy in strategies:
         if strategy is Strategy.SINGLE_BANK:
             continue
-        counts = None
-        if strategy.needs_profile:
-            if profile is None:
-                profile = collect_block_counts(base_compiled.program, base_result)
-            counts = profile
+        if strategy.needs_profile and profile is None:
+            profile = collect_block_counts(base_compiled.program, base_result)
         measurement, _compiled, _result = _run_once(
-            workload, strategy, profile_counts=counts, verify=verify,
-            backend=backend, cache=cache,
+            workload, CompileOptions(strategy=strategy), profile=profile,
+            verify=verify, backend=backend, cache=cache,
         )
         measurements[strategy] = measurement
     return WorkloadEvaluation(workload.name, workload.category, measurements)

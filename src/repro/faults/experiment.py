@@ -165,27 +165,22 @@ def run_experiment(workload, strategy, seed, backend="interp", events=3,
     draw a plan from *seed* with the fault-free cycle count as horizon,
     run, classify.
 
-    *cache* (a dict) memoizes compiled programs and reference runs
-    across a worker's tasks.  Returns a flat JSON-able row consumed by
+    *cache* (a dict) memoizes compiled programs (so a ``Pr`` profile
+    runs once per worker, not once per seed) and reference runs across
+    a worker's tasks.  Returns a flat JSON-able row consumed by
     :func:`repro.faults.campaign.aggregate`.
     """
-    from repro.evaluation.runner import _compile_cached
-    from repro.sim.tracing import collect_block_counts
+    from repro.compiler import CompileOptions
+    from repro.evaluation.runner import compile_workload
 
-    counts = None
-    if strategy.needs_profile:
-        profile_key = ("faults-profile", workload.name)
-        counts = None if cache is None else cache.get(profile_key)
-        if counts is None:
-            from repro.partition.strategies import Strategy
-
-            baseline = _compile_cached(workload, Strategy.SINGLE_BANK, None, cache)
-            counts = collect_block_counts(
-                baseline.program, make_simulator(baseline.program).run()
-            )
-            if cache is not None:
-                cache[profile_key] = counts
-    compiled = _compile_cached(workload, strategy, counts, cache)
+    compiled_key = ("faults-compiled", workload.name, strategy.name)
+    compiled = None if cache is None else cache.get(compiled_key)
+    if compiled is None:
+        compiled = compile_workload(
+            workload, CompileOptions(strategy=strategy), cache
+        )
+        if cache is not None:
+            cache[compiled_key] = compiled
     reference_key = ("faults-reference", workload.name, strategy.name, backend)
     reference = None if cache is None else cache.get(reference_key)
     if reference is None:

@@ -163,24 +163,20 @@ def _run_config(recipe, strategy, backend, profile_counts,
 
 
 def check_recipe(recipe, strategies=ORACLE_STRATEGIES, backends=ORACLE_BACKENDS,
-                 fault_seed=None, partitioners=ORACLE_PARTITIONERS):
+                 fault_seed=None):
     """Run the full oracle over *recipe*; returns an :class:`OracleReport`.
 
     Raises :class:`OracleViolation` (with the recipe attached) on the
     first broken invariant, and re-raises simulator faults wrapped the
     same way so campaign drivers can treat every failure uniformly.
     A non-None *fault_seed* additionally runs the fault-outcome
-    identity stage (:func:`check_fault_identity`).  *partitioners*
-    selects the partitioner-identity stage's registry slice
-    (:func:`check_partitioner_identity`); fewer than two entries skip
-    the stage — one partitioner has nothing to differ from.
+    identity stage (:func:`check_fault_identity`).  The
+    partitioner-identity stage (:func:`check_partitioner_identity`)
+    always runs over :data:`ORACLE_PARTITIONERS`.
     """
     try:
         report = _check(recipe, strategies, backends)
-        if partitioners is not None and len(partitioners) > 1:
-            check_partitioner_identity(
-                recipe, report, partitioners=partitioners
-            )
+        check_partitioner_identity(recipe, report)
         if fault_seed is not None:
             check_fault_identity(
                 recipe, fault_seed, strategies=strategies, backends=backends

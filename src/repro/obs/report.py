@@ -55,27 +55,6 @@ def _resolve_workload(workload):
     return workload
 
 
-def _measure(workload, strategy, backend, profile_counts=None, verify=True):
-    """One instrumented compile + simulate + verify + profile."""
-    from repro.compiler import CompileOptions, compile_module
-    from repro.sim import make_simulator
-
-    recorder = Recorder()
-    compiled = compile_module(
-        workload.build(),
-        CompileOptions(
-            strategy=strategy,
-            profile_counts=profile_counts,
-            observe=recorder,
-        ),
-    )
-    simulator = make_simulator(compiled.program, backend=backend)
-    result = simulator.run()
-    if verify:
-        workload.verify(simulator)
-    return recorder, compiled, result
-
-
 def _pass_rows(recorder):
     """Flatten the compile span's children into per-pass rows."""
     compile_span = recorder.find("compile")
@@ -91,12 +70,20 @@ def _pass_rows(recorder):
     return rows
 
 
-def _configuration(workload, strategy, backend, top, profile_counts=None,
-                   verify=True):
-    recorder, compiled, result = _measure(
-        workload, strategy, backend, profile_counts=profile_counts,
-        verify=verify,
+def _configuration(workload, strategy, backend, top, verify=True):
+    """One instrumented compile + simulate + verify + profile."""
+    from repro.compiler import CompileOptions
+    from repro.evaluation.runner import compile_workload
+    from repro.sim import make_simulator
+
+    recorder = Recorder()
+    compiled = compile_workload(
+        workload, CompileOptions(strategy=strategy, observe=recorder)
     )
+    simulator = make_simulator(compiled.program, backend=backend)
+    result = simulator.run()
+    if verify:
+        workload.verify(simulator)
     profile = profile_run(compiled.program, result)
     compile_span = recorder.find("compile")
     return {
@@ -136,29 +123,11 @@ def build_report(workload, strategy=Strategy.CB,
     verify:
         Check each run against the workload's reference model.
     """
-    from repro.sim.tracing import collect_block_counts
-
     workload = _resolve_workload(workload)
     strategy = _resolve_strategy(strategy)
     baseline = _resolve_strategy(baseline)
-
-    profile_counts = None
-    if strategy.needs_profile or baseline.needs_profile:
-        _recorder, compiled, result = _measure(
-            workload, Strategy.SINGLE_BANK, backend, verify=False
-        )
-        profile_counts = collect_block_counts(compiled.program, result)
-
-    base = _configuration(
-        workload, baseline, backend, top,
-        profile_counts=profile_counts if baseline.needs_profile else None,
-        verify=verify,
-    )
-    target = _configuration(
-        workload, strategy, backend, top,
-        profile_counts=profile_counts if strategy.needs_profile else None,
-        verify=verify,
-    )
+    base = _configuration(workload, baseline, backend, top, verify=verify)
+    target = _configuration(workload, strategy, backend, top, verify=verify)
 
     base_cycles = base["cycles"]
     target_cycles = target["cycles"]

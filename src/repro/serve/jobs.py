@@ -30,7 +30,9 @@ import hashlib
 import json
 import time
 
-from repro.evaluation.runner import _compile_cached
+from repro.compiler import CompileOptions
+from repro.evaluation.runner import compile_workload
+from repro.partition.strategies import Strategy
 from repro.serve.store import canonical_key, process_compile_cache
 
 #: fields of a job that determine the compiled program (everything but
@@ -53,7 +55,7 @@ def job_compile_key(job):
 
 class _JobSource:
     """Adapter giving a job the ``.build()`` shape
-    :func:`~repro.evaluation.runner._compile_cached` expects.
+    :func:`~repro.evaluation.runner.compile_workload` expects.
 
     *store* (an :class:`~repro.serve.store.ArtifactStore`, usually the
     compile cache's) resolves ``{"ref": digest}`` recipes the
@@ -99,24 +101,14 @@ class _JobSource:
 def compile_for_job(job, cache):
     """Compile the program a job names, reading through *cache*.
 
-    Handles the profile-driven strategies the same way the evaluation
-    runner does: the single-bank baseline is compiled (cached) and
-    simulated once to collect block counts, which then key the profiled
-    compile.  Returns ``(compiled, source)`` where *source* says where
-    the final compile came from (``memory``/``store``/``compile``).
+    :func:`~repro.evaluation.runner.compile_workload` runs the profile
+    step of a profile-driven strategy exactly as every evaluation does.
+    Returns ``(compiled, source)`` where *source* says where the final
+    compile came from (``memory``/``store``/``compile``).
     """
-    from repro.partition.strategies import Strategy
-    from repro.sim import make_simulator
-    from repro.sim.tracing import collect_block_counts
-
+    options = CompileOptions(strategy=Strategy[job["strategy"]])
     source = _JobSource(job, store=getattr(cache, "store", None))
-    strategy = Strategy[job["strategy"]]
-    profile_counts = None
-    if strategy.needs_profile:
-        baseline = _compile_cached(source, Strategy.SINGLE_BANK, None, cache)
-        result = make_simulator(baseline.program).run()
-        profile_counts = collect_block_counts(baseline.program, result)
-    compiled = _compile_cached(source, strategy, profile_counts, cache)
+    compiled = compile_workload(source, options, cache)
     return compiled, getattr(cache, "last_source", None)
 
 

@@ -1,7 +1,7 @@
 """Persistent content-addressed artifact store for compiled programs.
 
-The in-process compile cache (:func:`repro.evaluation.runner._compile_cached`
-keyed by module fingerprint x strategy x profile) dies with every
+The in-process compile cache (:func:`repro.evaluation.runner.compile_workload`
+keyed by module fingerprint x compile options x profile) dies with every
 process, so campaign and CLI workloads recompile the same programs
 forever.  This module promotes it to disk:
 
@@ -18,8 +18,8 @@ forever.  This module promotes it to disk:
 * :class:`CompileCache` — the tier the evaluation paths consume: an
   in-memory dict in front of an optional :class:`ArtifactStore`.  It
   speaks the same ``get(key)`` / ``cache[key] = value`` protocol as the
-  plain dicts :func:`~repro.evaluation.runner._compile_cached` always
-  used, so every caller (serial evaluation, ``supervised_map`` workers,
+  plain dicts :func:`~repro.evaluation.runner.compile_workload` also
+  accepts, so every caller (serial evaluation, ``supervised_map`` workers,
   the serve worker pool) reads through the store by construction.
 
 Concurrent writers are safe by design: two processes racing on one key
@@ -329,14 +329,11 @@ class ArtifactStore:
 class CompileCache:
     """In-memory compile cache tiered over an optional :class:`ArtifactStore`.
 
-    Speaks the dict protocol :func:`repro.evaluation.runner._compile_cached`
-    expects — ``get(key)`` and ``cache[key] = compiled`` with the
-    in-memory 3-tuple key ``(fingerprint, strategy, profile_key)`` — and
-    translates that tuple to the canonical persistent key
-    (:func:`compile_key` over the full
-    :func:`~repro.compiler.pipeline.options_signature`, so the cut
-    heuristic and the optional passes are pinned to their defaults
-    rather than silently ignored).
+    Speaks the dict protocol :func:`repro.evaluation.runner.compile_workload`
+    expects — ``get(key)`` and ``cache[key] = compiled`` with the key
+    ``(fingerprint, options_signature, profile_key)`` — and persists
+    under :func:`compile_key` of that same triple, so the memory tier
+    and the store address a compile by one key shape.
 
     ``last_source`` records where the most recent lookup was satisfied:
     ``"memory"``, ``"store"``, or ``"compile"`` (a miss the caller is
@@ -350,14 +347,8 @@ class CompileCache:
 
     @staticmethod
     def persistent_key(key):
-        """Map the in-memory 3-tuple to the canonical store key dict."""
-        from repro.compiler.pipeline import CompileOptions, options_signature
-
-        fingerprint, strategy, profile_key = key
-        options = CompileOptions(strategy=strategy)
-        return compile_key(
-            fingerprint, options_signature(options), profile_key
-        )
+        """The canonical store key dict of a memory-tier key."""
+        return compile_key(*key)
 
     def get(self, key):
         value = self.memory.get(key)

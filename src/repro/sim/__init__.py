@@ -23,7 +23,7 @@ from repro.sim.errors import (
 )
 from repro.sim.loopjit import LoopJitSimulator
 from repro.sim.batchsim import BatchSimulator, LaneOutcome
-from repro.sim.tracing import collect_block_counts, profile_module
+from repro.sim.tracing import collect_block_counts
 from repro.sim.interrupts import InterruptInjector
 from repro.sim.statistics import UtilizationReport, utilization
 
@@ -78,6 +78,5 @@ __all__ = [
     "classify_fault",
     "collect_block_counts",
     "make_simulator",
-    "profile_module",
     "utilization",
 ]

@@ -13,8 +13,9 @@ jit backend's fused path stays fused.
 The ``Pr`` configuration of paper Figure 8 replaces the static loop-depth
 edge weights with profile-driven ones.  The natural profile is the number
 of times each basic block executed in the *baseline* (single-bank) binary:
-``profile_module`` compiles a module that way, simulates it, and maps the
-per-instruction execution counts back to source-block labels.
+:func:`repro.evaluation.runner.profile_counts` compiles a workload that
+way, simulates it, and maps the per-instruction execution counts back to
+source-block labels with :func:`collect_block_counts`.
 """
 
 
@@ -31,21 +32,3 @@ def collect_block_counts(program, result):
         if executed > counts.get(label, 0):
             counts[label] = executed
     return counts
-
-
-def profile_module(module_factory, setup=None, stack_words=16384):
-    """Profile a benchmark: returns block label -> execution count.
-
-    ``module_factory`` builds a fresh module (the baseline compile consumes
-    it); ``setup(simulator)`` may preload input data before the run.
-    """
-    from repro.compiler import compile_module
-    from repro.partition.strategies import Strategy
-    from repro.sim.simulator import Simulator
-
-    compiled = compile_module(module_factory(), strategy=Strategy.SINGLE_BANK)
-    simulator = Simulator(compiled.program, stack_words=stack_words)
-    if setup is not None:
-        setup(simulator)
-    result = simulator.run()
-    return collect_block_counts(compiled.program, result)

@@ -125,3 +125,55 @@ def test_module_fingerprint_is_content_keyed():
     assert module_fingerprint(_fingerprint_module(1.0)) != module_fingerprint(
         _fingerprint_module(2.0)
     )
+
+
+def test_pr_cycles_agree_across_entry_points(capsys):
+    """Every entry point that compiles under ``Pr`` reaches the one
+    profile step in :func:`compile_workload`, so all five report the
+    same cycles on the workload serve-open profiles — and a profile
+    taken on ``jit`` instead of ``interp`` compiles to the same program."""
+    import re
+
+    from repro.__main__ import main
+    from repro.compiler import CompileOptions
+    from repro.evaluation.runner import compile_workload, profile_counts
+    from repro.faults.experiment import run_experiment
+    from repro.obs.report import build_report
+    from repro.serve.jobs import execute_job
+    from repro.serve.protocol import validate_job
+    from repro.sim import make_simulator
+    from repro.sim.tracing import collect_block_counts
+
+    workload = KERNELS["mult_4_4"]
+    pr = Strategy.CB_PROFILE
+    cycles = {
+        "evaluate_workload": evaluate_workload(workload, [pr]).cycles(pr),
+        "execute_job": execute_job(
+            validate_job({"kind": "run", "workload": workload.name,
+                          "strategy": pr.name}),
+            cache={},
+        )["cycles"],
+        "build_report": build_report(workload, strategy=pr)["strategy"][
+            "cycles"
+        ],
+        "run_experiment": run_experiment(workload, pr, seed=0)[
+            "reference_cycles"
+        ],
+    }
+    assert main(["run", workload.name, "--strategy", pr.name]) == 0
+    cycles["cmd_run"] = int(
+        re.search(r": (\d+) cycles", capsys.readouterr().out).group(1)
+    )
+    assert len(set(cycles.values())) == 1, cycles
+
+    baseline = compile_workload(
+        workload, CompileOptions(strategy=Strategy.SINGLE_BANK)
+    )
+    on_jit = collect_block_counts(
+        baseline.program, make_simulator(baseline.program, backend="jit").run()
+    )
+    assert on_jit == profile_counts(workload)
+    compiled = compile_workload(
+        workload, CompileOptions(strategy=pr), profile=on_jit
+    )
+    assert make_simulator(compiled.program).run().cycles == cycles["cmd_run"]

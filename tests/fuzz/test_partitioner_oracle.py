@@ -15,7 +15,6 @@ from repro.fuzz.oracle import (
     ORACLE_PARTITIONERS,
     OracleViolation,
     check_partitioner_identity,
-    check_recipe,
 )
 
 SMOKE_SEEDS = range(25)
@@ -27,19 +26,6 @@ def test_partitioner_stage_clean_on_seed(seed):
     tests/fuzz/test_fuzz_smoke.py; running it directly keeps the failure
     domain small when only this stage breaks)."""
     check_partitioner_identity(generate_recipe(seed))
-
-
-def test_restricted_partitioner_set_runs():
-    """A restricted stage — greedy plus one other entry — is a valid
-    oracle configuration."""
-    check_recipe(generate_recipe(0), partitioners=("greedy", "exact"))
-
-
-def test_single_partitioner_skips_the_stage():
-    """One partitioner has nothing to differ from; check_recipe skips
-    the stage instead of degenerating to a self-comparison."""
-    report = check_recipe(generate_recipe(0), partitioners=("greedy",))
-    assert report.cycles  # the main stages still ran
 
 
 def test_violation_reports_the_partitioner_stage():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.compiler import compile_module
+from repro.evaluation.runner import profile_counts
 from repro.frontend import ProgramBuilder
 from repro.partition.duplication import (
     estimate_store_penalty,
@@ -12,7 +13,6 @@ from repro.partition.graph_builder import build_interference_graph
 from repro.partition.strategies import Strategy, run_allocation
 from repro.partition.weights import StaticDepthWeights
 from repro.sim.simulator import Simulator
-from repro.sim.tracing import profile_module
 from repro.workloads.registry import APPLICATIONS
 from tests.conftest import compile_and_run
 
@@ -108,7 +108,7 @@ def test_selective_never_below_best_of_cb_and_dup_on_dup_apps():
     blanket partial duplication."""
     for name in ("lpc", "spectral", "V32encode"):
         workload = APPLICATIONS[name]
-        counts = profile_module(workload.build)
+        counts = profile_counts(workload)
         cycles = {}
         for strategy in (Strategy.CB, Strategy.CB_DUP, Strategy.CB_DUP_SELECTIVE):
             kwargs = (

@@ -10,7 +10,11 @@ import pytest
 
 from repro.compiler import CompileOptions, compile_module
 from repro.compiler.pipeline import options_signature
-from repro.evaluation.runner import _compile_cached, module_fingerprint
+from repro.evaluation.runner import (
+    compile_workload,
+    module_fingerprint,
+    profile_counts,
+)
 from repro.obs.core import Recorder
 from repro.partition.strategies import Strategy
 from repro.serve.store import (
@@ -28,6 +32,11 @@ WORKLOAD = "fir_32_1"
 
 def _compiled(name=WORKLOAD, strategy=Strategy.CB):
     return compile_module(get_workload(name).build(), strategy=strategy)
+
+
+def _cached(workload, strategy, cache):
+    """Compile *workload* under *strategy* through *cache*."""
+    return compile_workload(workload, CompileOptions(strategy=strategy), cache)
 
 
 def _key(suffix="a"):
@@ -117,14 +126,14 @@ def test_corrupted_compile_cache_recompiles(tmp_path):
     a recompile with the identical cycle count."""
     workload = get_workload(WORKLOAD)
     cache = CompileCache(store=ArtifactStore(tmp_path))
-    first = _compile_cached(workload, Strategy.CB, None, cache)
+    first = _cached(workload, Strategy.CB, cache)
     reference = Simulator(first.program).run().cycles
     path = cache.store.path_for(
         cache.persistent_key(next(iter(cache.memory)))
     )
     _corrupt(path, lambda data: data[: len(data) // 3])
     cold = CompileCache(store=ArtifactStore(tmp_path))  # fresh memory tier
-    again = _compile_cached(workload, Strategy.CB, None, cold)
+    again = _cached(workload, Strategy.CB, cold)
     assert cold.last_source == "compile"
     assert cold.store.corrupt == 1
     assert Simulator(again.program).run().cycles == reference
@@ -246,19 +255,58 @@ def test_profile_counts_key_the_entry():
     assert bare != profiled
 
 
+#: store entry id of a fixed ``CB_PROFILE`` compile key, as stores
+#: written before the memory tier keyed compiles by their full options
+#: signature addressed it; a key refactor that changes it would orphan
+#: every existing store
+STABLE_PROFILE_ENTRY = (
+    "b95eeb12204f27e32b233d83757714f9af0f1454c8b5c6aa7e09958a964bc1ba"
+)
+
+
+def test_persistent_key_shape_is_stable():
+    signature = options_signature(CompileOptions(strategy=Strategy.CB_PROFILE))
+    memory_key = ("0" * 64, signature, (("b0", 3),))
+    persistent = CompileCache.persistent_key(memory_key)
+    assert persistent == compile_key(*memory_key)
+    assert ArtifactStore.entry_id(persistent) == STABLE_PROFILE_ENTRY
+
+
+@pytest.mark.parametrize("strategy", [Strategy.CB, Strategy.CB_PROFILE])
+def test_compiles_land_under_the_strategy_only_key(tmp_path, strategy):
+    """A default-options compile is stored under ``compile_key`` of the
+    strategy-only options signature — the address every earlier store
+    used — and a fresh process reads it back from there."""
+    workload = get_workload(WORKLOAD)
+    cache = CompileCache(store=ArtifactStore(tmp_path))
+    _cached(workload, strategy, cache)
+    profile_key = None
+    if strategy is Strategy.CB_PROFILE:
+        profile_key = tuple(sorted(profile_counts(workload).items()))
+    legacy = compile_key(
+        module_fingerprint(workload.build()),
+        options_signature(CompileOptions(strategy=strategy)),
+        profile_key,
+    )
+    assert os.path.exists(cache.store.path_for(legacy))
+    cold = CompileCache(store=ArtifactStore(tmp_path))
+    _cached(workload, strategy, cold)
+    assert cold.last_source == "store"
+
+
 # ---------------------------------------------------------------------
 # CompileCache tiering
 # ---------------------------------------------------------------------
 def test_compile_cache_tiers_memory_store_compile(tmp_path):
     workload = get_workload(WORKLOAD)
     cache = CompileCache(store=ArtifactStore(tmp_path))
-    _compile_cached(workload, Strategy.CB, None, cache)
+    _cached(workload, Strategy.CB, cache)
     assert cache.last_source == "compile"
-    _compile_cached(workload, Strategy.CB, None, cache)
+    _cached(workload, Strategy.CB, cache)
     assert cache.last_source == "memory"
     # a fresh process (fresh memory tier) hits the store
     cold = CompileCache(store=ArtifactStore(tmp_path))
-    hit = _compile_cached(workload, Strategy.CB, None, cold)
+    hit = _cached(workload, Strategy.CB, cold)
     assert cold.last_source == "store"
     assert Simulator(hit.program).run().cycles > 0
 
@@ -266,10 +314,10 @@ def test_compile_cache_tiers_memory_store_compile(tmp_path):
 def test_store_hit_is_bit_identical_to_recompile(tmp_path):
     workload = get_workload(WORKLOAD)
     warm = CompileCache(store=ArtifactStore(tmp_path))
-    compiled = _compile_cached(workload, Strategy.CB_DUP, None, warm)
+    compiled = _cached(workload, Strategy.CB_DUP, warm)
     direct = compile_module(workload.build(), strategy=Strategy.CB_DUP)
     cold = CompileCache(store=ArtifactStore(tmp_path))
-    restored = _compile_cached(workload, Strategy.CB_DUP, None, cold)
+    restored = _cached(workload, Strategy.CB_DUP, cold)
     assert cold.last_source == "store"
     assert (
         Simulator(restored.program).state_digest()

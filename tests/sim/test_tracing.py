@@ -8,13 +8,16 @@ backend counts per stepped cycle — all must be indistinguishable from
 the reference interpreter's per-cycle counting.
 """
 
+import types
+
 import pytest
 
 from repro.compiler import compile_module
+from repro.evaluation.runner import profile_counts
 from repro.frontend import ProgramBuilder
 from repro.partition.strategies import Strategy
 from repro.sim import LoopJitSimulator, make_simulator
-from repro.sim.tracing import collect_block_counts, profile_module
+from repro.sim.tracing import collect_block_counts
 
 pytestmark = pytest.mark.parametrize("backend", ["interp", "jit", "batch"])
 
@@ -68,13 +71,17 @@ def test_block_counts_identical_across_backends(backend):
     assert counts == reference
 
 
+#: a workload-shaped source for :func:`profile_counts`
+_LOOP_SOURCE = types.SimpleNamespace(build=_loop_module)
+
+
 def test_profile_module_helper(backend):
-    counts = profile_module(_loop_module)
+    counts = profile_counts(_LOOP_SOURCE)
     assert max(counts.values()) == 10
 
 
 def test_profile_feeds_cb_profile_strategy(backend):
-    counts = profile_module(_loop_module)
+    counts = profile_counts(_LOOP_SOURCE)
     compiled = compile_module(
         _loop_module(), strategy=Strategy.CB_PROFILE, profile_counts=counts
     )

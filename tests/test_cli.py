@@ -366,6 +366,51 @@ def test_compare_command_cache_dir(capsys, tmp_path):
     assert capsys.readouterr().out == baseline
 
 
+def test_pipelined_profile_run_reads_through_the_store(
+    capsys, tmp_path, monkeypatch
+):
+    """`run --strategy CB_PROFILE --pipeline --cache-dir` stores the
+    pipelined Pr compile and the plain baseline it profiled; a second
+    process is served both from the store, with the cycles of an
+    uncached pipelined compile."""
+    import os
+    import re
+
+    from repro.compiler import CompileOptions, compile_module
+    from repro.evaluation.runner import profile_counts
+    from repro.partition.strategies import Strategy
+    from repro.serve import store
+    from repro.sim import make_simulator
+    from repro.workloads.registry import get_workload
+
+    cache = str(tmp_path / "cache")
+    argv = ["run", "fir_32_1", "--strategy", "CB_PROFILE", "--pipeline",
+            "--cache-dir", cache]
+    monkeypatch.setattr(store, "_PROCESS_CACHES", {})
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert len(store.ArtifactStore(cache).entries()) == 2
+
+    monkeypatch.setattr(store, "_PROCESS_CACHES", {})  # a fresh process
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    warm = store.process_compile_cache(cache)
+    assert warm.last_source == "store"
+    assert (warm.store.hits, warm.store.misses) == (2, 0)
+
+    workload = get_workload("fir_32_1")
+    direct = compile_module(
+        workload.build(),
+        CompileOptions(
+            strategy=Strategy.CB_PROFILE,
+            profile_counts=profile_counts(workload),
+            software_pipelining=True,
+        ),
+    )
+    cycles = make_simulator(direct.program).run().cycles
+    assert int(re.search(r": (\d+) cycles", first).group(1)) == cycles
+
+
 def test_jit_backend_is_a_cli_choice():
     parser = build_parser()
     sub = parser._subparsers._group_actions[0].choices["run"]

@@ -119,3 +119,28 @@ def test_quickstart_doctest_runs():
 
     results = doctest.testmod(repro, verbose=False)
     assert results.failed == 0
+
+
+def test_profile_step_lives_in_the_runner():
+    """``needs_profile`` is read only where the Pr step is decided: its
+    definition, :func:`repro.evaluation.runner.compile_workload` (with
+    ``evaluate_workload``'s reuse of its baseline run) and the fuzz
+    oracle, which checks the compiler independently.  A new hand copy
+    of the profile step anywhere else fails here."""
+    import os
+
+    root = os.path.dirname(repro.__file__)
+    readers = set()
+    for directory, _subdirs, names in os.walk(root):
+        for name in names:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            with open(path) as handle:
+                if "needs_profile" in handle.read():
+                    readers.add(os.path.relpath(path, root).replace(os.sep, "/"))
+    assert readers == {
+        "partition/strategies.py",
+        "evaluation/runner.py",
+        "fuzz/oracle.py",
+    }
