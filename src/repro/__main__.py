@@ -16,7 +16,8 @@ report [--workload W --strategy S --baseline B --top N --json PATH]
     With --workload: the observability report for one configuration —
     per-pass compile timings, hot pcs, bank histograms, and the
     bank-conflict table (markdown + embedded JSON; --json also writes
-    the JSON document to a file, "-" for stdout).
+    the JSON document to a file, "-" for stdout).  It times a fresh
+    compile in one process, so --cache-dir and --jobs are refused.
 fuzz [--runs N] [--seed S] [--jobs J] [--journal PATH] [--timeout SEC]
     Differential fuzzing: random programs through every allocation
     strategy, every simulator backend, and both max-cut heuristics
@@ -753,7 +754,15 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "report" and args.workload is not None:
+        # The observability report times one fresh, instrumented compile
+        # in this process: a store hit would leave its compile table empty.
+        for flag, value in (("--cache-dir", args.cache_dir),
+                            ("--jobs", args.jobs)):
+            if value is not None:
+                parser.error("report --workload does not take %s" % flag)
     return args.func(args)
 
 

@@ -44,8 +44,7 @@ def _measure(module, strategy, observe=None, backend="interp"):
     return result.cycles, CostModel().measure(compiled, result).total
 
 
-def sweep(factory, parameters, strategies, observe=None, journal=None,
-          backend="interp"):
+def sweep(factory, parameters, strategies, observe=None, backend="interp"):
     """Measure ``factory(parameter)`` under each strategy.
 
     ``factory`` must return a fresh module per call. Returns
@@ -57,43 +56,19 @@ def sweep(factory, parameters, strategies, observe=None, journal=None,
     metrics) wrapping the instrumented compile — the structured
     replacement for sprinkling progress prints through long sweeps.
 
-    ``journal`` is an optional checkpoint journal (a path or a
-    :class:`~repro.evaluation.parallel.Journal`): each completed
-    (parameter, strategy) point is recorded, and a rerun skips the
-    points already journaled — sweeps are deterministic, so resumed
-    curves equal uninterrupted ones.
-
     ``backend`` selects the simulator backend for every point (any
     :data:`~repro.sim.BACKENDS` name, including ``batch``);
     results are bit-identical across backends, so it is purely a
-    throughput knob.  Journals written under one backend resume under
-    any other (the checkpoint key is backend-independent by design).
+    throughput knob.
     """
     if observe is None:
         from repro.obs.core import NULL_RECORDER as observe
-    if journal is not None and not hasattr(journal, "record"):
-        from repro.evaluation.parallel import Journal
-
-        journal = Journal(journal)
     rows = {}
     for parameter in parameters:
         row = {}
         for strategy in [Strategy.SINGLE_BANK] + [
             s for s in strategies if s is not Strategy.SINGLE_BANK
         ]:
-            key = None
-            if journal is not None:
-                from repro.evaluation.parallel import Journal
-
-                key = Journal.key_for(
-                    ("sweep", repr(parameter), strategy.name)
-                )
-
-                if key in journal.completed:
-                    cycles, cost = journal.completed[key]
-                    observe.counter("sweep.resumed")
-                    row[strategy] = SweepPoint(parameter, strategy, cycles, cost)
-                    continue
             with observe.span("point") as span:
                 cycles, cost = _measure(
                     factory(parameter), strategy, observe=observe,
@@ -105,8 +80,6 @@ def sweep(factory, parameters, strategies, observe=None, journal=None,
                     cycles=cycles,
                     cost=cost,
                 )
-            if journal is not None:
-                journal.record(key, [cycles, cost])
             row[strategy] = SweepPoint(parameter, strategy, cycles, cost)
         rows[parameter] = row
     return rows

@@ -6,9 +6,9 @@ The subsystem ISSUE 5 adds on top of the paper's duplication story:
   :class:`~repro.faults.plan.FaultPlan` schedules (bank/global bit
   flips, register corruption, stuck-bank windows, delivery jitter);
 * :mod:`repro.faults.injector` — delivers a plan through the simulator's
-  cadence-aware interrupt-hook protocol (bit-identical on the
-  ``interp``/``jit``/``batch`` backends) and cross-checks duplicated
-  copies at every delivery;
+  interrupt-hook protocol (bit-identical on the ``interp``/``jit``/
+  ``batch`` backends) and cross-checks duplicated copies at every
+  delivery;
 * :mod:`repro.faults.experiment` — classifies each faulted run
   (masked / detected / silent / crash / hang) against a fault-free
   reference;

@@ -24,13 +24,12 @@ The outcome taxonomy (ISSUE 5):
 
 Cross-backend contract: for the same program and
 :class:`~repro.faults.plan.FaultPlan`, all three backends classify
-identically, and *completed* runs (masked/detected/silent) are
-bit-identical in architectural state and injector record.  Error paths
-may legitimately differ in cycle/pc detail (the ``jit`` backend checks
-``max_cycles`` at block granularity and settles ``pc`` on loop entries —
-documented in :mod:`repro.sim.loopjit`), so crash/hang runs compare by
-outcome and error category only.  :func:`comparable` projects a result
-onto exactly the fields the identity suite may assert.
+identically, *completed* runs (masked/detected/silent) are
+bit-identical in architectural state and injector record, and crash/hang
+runs agree on the error category and on the ``pc`` and ``cycle`` the
+fault was raised at — an armed plan installs a hook, and every backend
+runs a hooked program one cycle at a time.  :func:`comparable` projects
+a result onto exactly the fields the identity suite may assert.
 """
 
 from repro.faults.injector import FaultInjector
@@ -136,6 +135,8 @@ def run_with_plan(program, plan, backend="interp", reference=None,
         "error": None if error is None else {
             "category": error.category,
             "message": str(error),
+            "pc": error.pc,
+            "cycle": error.cycle,
         },
         **record,
     }
@@ -144,13 +145,16 @@ def run_with_plan(program, plan, backend="interp", reference=None,
 def comparable(result):
     """Projection of a :func:`run_with_plan` result onto the fields the
     cross-backend identity contract covers: everything except
-    ``backend`` for completed runs, outcome + error category for
-    crash/hang runs (whose cycle/pc detail may differ by design)."""
+    ``backend`` for completed runs; outcome, error category, and the
+    fault's ``pc`` and ``cycle`` for crash/hang runs (the message names
+    the backend)."""
     if result["outcome"] in ("crash", "hang"):
         error = result.get("error") or {}
         return {
             "outcome": result["outcome"],
             "category": error.get("category"),
+            "pc": error.get("pc"),
+            "cycle": error.get("cycle"),
         }
     return {
         key: value

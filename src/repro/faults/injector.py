@@ -1,14 +1,14 @@
-"""The fault injector: a cadence-advertising interrupt hook.
+"""The fault injector: an interrupt hook that delivers a fault plan.
 
 :class:`FaultInjector` delivers the events of one
 :class:`~repro.faults.plan.FaultPlan` through the simulator's existing
-interrupt-hook protocol (documented in :mod:`repro.sim.interrupts`): it
-advertises an integer ``cadence``, is a strict no-op off-cadence, reads
-and writes memory/registers at delivery points, and never redirects
-``pc``.  Riding the hook protocol is what makes injection bit-identical
-on all three backends — the ``jit`` backend synchronizes its promoted
-state around exactly these delivery points, and the delivery cycles
-themselves are already proven identical by the interrupt test suite.
+interrupt-hook protocol (documented in :mod:`repro.sim.interrupts`):
+it delivers every ``plan.cadence`` cycles, is a strict no-op in
+between, reads and writes memory/registers at delivery points, and
+never redirects ``pc``.  Riding the hook protocol is what makes
+injection bit-identical on all three backends: every backend calls the
+hook after every cycle, and the delivery cycles themselves are already
+proven identical by the interrupt test suite.
 
 Semantics per delivery (in order, all deterministic):
 
@@ -61,7 +61,7 @@ def perturb(value, bit):
 
 class FaultInjector:
     """Delivers one :class:`~repro.faults.plan.FaultPlan` through the
-    cadence hook protocol and cross-checks duplicated copies.
+    interrupt-hook protocol and cross-checks duplicated copies.
 
     One injector serves one run: it binds to the first simulator it is
     called with and accumulates that run's delivery/application/
@@ -107,13 +107,6 @@ class FaultInjector:
         if plan is None or not plan.events:
             return None
         return cls(plan, repair=repair)
-
-    @property
-    def cadence(self):
-        """Delivery cadence advertised to cadence-aware backends: this
-        hook is a strict no-op whenever ``cycle % cadence != 0`` and
-        never redirects ``pc`` (the loopjit contract)."""
-        return self.plan.cadence
 
     # ------------------------------------------------------------------
     def _bind(self, simulator):

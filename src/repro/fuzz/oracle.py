@@ -13,9 +13,9 @@ For each generated module the oracle checks, in order:
    and loop-specializing backends must match the reference interpreter
    exactly: cycles, operation total, per-pc execution counts, stack
    peaks, final memory and register files.  Recipes with an
-   ``interrupt_period`` install a cadence-advertising
-   :class:`InterruptInjector`, so the ``jit`` backend's chunked loop
-   path (deliveries landing mid-loop) is exercised differentially.
+   ``interrupt_period`` install an :class:`InterruptInjector`, so the
+   backends' hooked stepped loops (deliveries landing mid-loop) are
+   exercised differentially.
 4. **Duplication coherence** — after every run, both bank copies of
    every duplicated symbol are identical; when the recipe installs an
    interrupt hook, the :class:`InterruptInjector` additionally checks
@@ -195,8 +195,9 @@ def check_fault_identity(recipe, fault_seed, strategies=ORACLE_STRATEGIES,
     :class:`~repro.faults.plan.FaultPlan` (horizon = the fault-free
     cycle count) on every backend and asserts the
     :func:`repro.faults.experiment.comparable` projections agree —
-    outcome class, injector record, and (for completed runs) the full
-    architectural state digest.  Raises :class:`OracleViolation` with
+    outcome class, injector record, the full architectural state digest
+    for completed runs, and the fault's pc and cycle for crash/hang
+    runs.  Raises :class:`OracleViolation` with
     stage ``"fault-identity"`` on any divergence.
     """
     from repro.faults.experiment import comparable, reference_run, run_with_plan

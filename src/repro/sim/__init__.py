@@ -43,8 +43,8 @@ def make_simulator(program, backend="interp", **kwargs):
     loop-specializing :class:`~repro.sim.loopjit.LoopJitSimulator`;
     ``batch`` is the lockstep :class:`~repro.sim.batchsim.BatchSimulator`
     (one lane unless built directly).  All honour the same constructor
-    keywords (``stack_words``, ``max_cycles``, ``interrupt_hook``,
-    ``check_bounds``) and produce bit-identical
+    keywords (``stack_words``, ``max_cycles``, ``interrupt_hook``) and
+    produce bit-identical
     :class:`~repro.sim.simulator.SimulationResult`, per-pc counts, and
     final machine state, so callers may switch freely.  Raises
     :class:`ValueError` for an unknown backend name; :data:`BACKENDS`

@@ -42,8 +42,9 @@ program's cached jit code.  A lane's initial state is rebuilt by
 replaying the writes that reached it, in arrival order, onto a fresh
 simulator with the same construction knobs; writes are the only way a
 lane's state changes before the run.  A slab with an interrupt hook
-on any lane (fault-arming and cadence lanes) takes the same per-lane
-path up front, which keeps hook visibility bit-exact by construction.
+on any lane (fault-arming and interrupt lanes) takes the same per-lane
+path up front, where jit runs each hooked lane on its per-cycle stepped
+loop, which keeps hook visibility bit-exact by construction.
 
 The regime, measured on the end-to-end lane sweep (``e2ebench/``: 3
 uniform kernels x 128 lanes, 24 branchy fuzz recipes x 8 lanes):
@@ -505,7 +506,6 @@ class BatchSimulator(FastSimulator):
             stack_words=self.stack_words,
             max_cycles=self.max_cycles,
             interrupt_hook=hook,
-            check_bounds=self.check_bounds,
         )
         for owner, name, values in self._writes:
             if owner is None or owner == lane:

@@ -245,9 +245,6 @@ class FastSimulator(Simulator):
         self._loop_end_pcs = frozenset(
             end for _start, end in self.program.loops.values()
         )
-        #: one-element list holding the running cycle count; generated
-        #: loop closures and the dispatch loops share it
-        self._cycle_cell = [0]
 
     def _leaders(self):
         """Superblock leader pcs: every possible control-transfer target
@@ -332,12 +329,11 @@ class FastSimulator(Simulator):
         index = cb.temp()
         cb.reads.append("%s = %s" % (index, self._index_expr(op, cb)))
         self._guard_uniform(index, cb)
-        if self.check_bounds:
-            symbol = op.symbol
-            cb.reads.append(
-                "if %s < 0 or %s >= %d: SIM._fault_oob(%s, %r, %d, %d)"
-                % (index, index, symbol.size, index, symbol.name, symbol.size, pc)
-            )
+        symbol = op.symbol
+        cb.reads.append(
+            "if %s < 0 or %s >= %d: SIM._fault_oob(%s, %r, %d, %d)"
+            % (index, index, symbol.size, index, symbol.name, symbol.size, pc)
+        )
         if base is not None:
             address = "(%d + %s)" % (base, index)
         else:
@@ -459,10 +455,10 @@ class FastSimulator(Simulator):
         would: no other operation of the instruction writes one of its
         source registers, and for a load, the instruction holds no STORE
         (memory) and no CALL/RET (stack pointer and memory).  Its
-        inlined form must also be unable to raise (:data:`_PURE`; a load
-        only with bounds checks on), so a faulting instruction still
-        reports the fault the reference interpreter reports.  Everything
-        else reads into a temporary first.
+        inlined form must also be unable to raise (:data:`_PURE`; a
+        load's bounds check runs in the read phase), so a faulting
+        instruction still reports the fault the reference interpreter
+        reports.  Everything else reads into a temporary first.
         """
         instruction = self.program.instructions[pc]
         lock_transition = self._lock_transition(instruction)
@@ -470,7 +466,7 @@ class FastSimulator(Simulator):
         ops = _executed(instruction)
         # register slot -> how many ops of this instruction write it
         written = {}
-        loads_direct = self.check_bounds
+        loads_direct = True
         for op in ops:
             opcode = op.opcode
             if opcode is OpCode.STORE or opcode is OpCode.CALL or opcode is OpCode.RET:
@@ -595,11 +591,7 @@ class FastSimulator(Simulator):
         """Per-instruction step table (the stepped loop's: hooked jit
         runs and batch lockstep)."""
         cache = self._codegen_cache()
-        # check_bounds changes the emitted source (the bounds-check reads
-        # are conditional), so it must key the cached batch: two
-        # simulators of the same program with different settings would
-        # otherwise silently share closures and add or drop checks.
-        key = (type(self).__qualname__, "steps", self.check_bounds)
+        key = (type(self).__qualname__, "steps")
         entry = cache.get(key)
         if entry is None:
             pieces = []
@@ -664,7 +656,7 @@ class FastSimulator(Simulator):
         this simulator's environment dict, so binding is one ``exec``.
         """
         cache = self._codegen_cache()
-        key = (type(self).__qualname__, leader, self.check_bounds)
+        key = (type(self).__qualname__, leader)
         entry = cache.get(key)
         if entry is None:
             cb = _CodeBuilder("k%d_" % leader)
@@ -700,16 +692,14 @@ class FastSimulator(Simulator):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _run_steps(self, hook=None, chunks=None):
+    def _run_steps(self, hook=None):
         """The stepped loop: one step closure per cycle, until HALT.
 
         *hook* (if any) is called after every cycle outside a store-lock
-        window, exactly as the reference interpreter delivers it.
-        *chunks* maps a loop start pc to ``(closure, end pc)``: when the
-        armed loop record matches, the closure consumes iterations in
-        bulk and returns the next pc (jit's cadence-chunked loops).  A
-        :class:`SimulationError` settles the state and propagates; any
-        other exception propagates unsettled, as from the interpreter.
+        window, exactly as the reference interpreter delivers it, and
+        may redirect ``pc``.  A :class:`SimulationError` settles the
+        state and propagates; any other exception propagates unsettled,
+        as from the interpreter.
         """
         if self._steps is None:
             self._compile_steps()
@@ -718,23 +708,12 @@ class FastSimulator(Simulator):
         pc_counts = self.pc_counts
         max_cycles = self.max_cycles
         steps = self._steps
-        chunks = chunks or {}
-        cell = self._cycle_cell
-        LS = self.loop_stack
-        cycle = cell[0] = self.cycle
+        cycle = self.cycle
         pc = self.pc
         try:
             while True:
                 if pc < 0 or pc >= count:
                     raise SimulationError("pc %d out of range" % pc)
-                if pc in chunks and LS:
-                    entry, end = chunks[pc]
-                    rec = LS[-1]
-                    if rec[0] == pc and rec[1] == end:
-                        cell[0] = cycle
-                        pc = entry()
-                        cycle = cell[0]
-                        continue
                 pc_counts[pc] += 1
                 cycle += 1
                 self.cycle = cycle
@@ -753,8 +732,7 @@ class FastSimulator(Simulator):
                     pc = self.pc
         except SimulationError as fault:
             self.pc = pc
-            # a chunk closure that faulted has already advanced the cell
-            self.cycle = max(cycle, cell[0])
+            self.cycle = cycle
             self.locked = False
             self._settle_counts(False)
             self._annotate_fault(fault)

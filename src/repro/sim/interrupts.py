@@ -7,22 +7,16 @@ transform emits exactly that pair when ``interrupt_safe`` is set, and the
 simulator refuses to deliver interrupts while the lock window is open.
 
 :class:`InterruptInjector` is a test harness: installed as the simulator's
-``interrupt_hook``, it fires at a configurable cadence and, on each
+``interrupt_hook``, it fires every *period* cycles and, on each
 delivery, checks that every duplicated global's X and Y copies agree —
 and can optionally *write* to a duplicated global through both copies,
 modelling an interrupt handler that feeds external data to the program.
 
-Cadence protocol (used by the ``jit`` backend, see
-:mod:`repro.sim.loopjit`; hooked ``batch`` lanes run on ``jit``): a
-hook may advertise an integer ``cadence`` attribute, promising that
-calls on cycles where ``cycle % cadence != 0`` are no-ops.  A
-cadence-advertising hook lets the loop-specializing backend
-fast-forward whole loop iterations between delivery cycles,
-synchronizing simulator state only at the cycles where the hook can
-actually observe something.  Such hooks may read and write memory and
-registers at delivery points but must not redirect ``pc``; hooks
-without a cadence are called after every cycle on every backend
-(``interp``'s loop, ``jit``'s stepped loop).
+Every backend calls a hook after every cycle outside a store-lock
+window (``interp``'s loop, the stepped loop ``jit`` and hooked
+``batch`` lanes run), so a hook sees exactly the same cycles and state
+everywhere; it may read and write memory and registers and may
+redirect ``pc``.
 """
 
 from repro.ir.symbols import MemoryBank
@@ -45,15 +39,6 @@ class InterruptInjector:
             for s in module.globals
             if s.bank is MemoryBank.BOTH
         ]
-
-    @property
-    def cadence(self):
-        """Delivery period advertised to cadence-aware backends: this
-        hook is a no-op whenever ``cycle % period != 0`` (the early
-        return in :meth:`__call__`), never redirects ``pc``, and only
-        reads state — exactly the contract :mod:`repro.sim.loopjit`
-        requires to skip the intervening cycles."""
-        return self.period
 
     def __call__(self, simulator, cycle):
         if cycle % self.period:

@@ -15,15 +15,7 @@ armed trip count, with
   runs on locals instead of list indexing;
 * **bulk accounting** — ``pc_counts[pc] += iterations`` per nesting
   level and one cycle-counter update per level, so profiling stays
-  bit-identical to the reference interpreter without per-cycle work;
-* **interrupt-cadence-aware chunking** — with a hook that advertises an
-  integer ``cadence`` (see :class:`~repro.sim.interrupts
-  .InterruptInjector`), a loop runs ``min(remaining iterations,
-  iterations before the next delivery)`` at full speed per chunk, then
-  single-steps the one iteration containing the delivery cycle, calling
-  the hook with synchronized state exactly when the reference
-  interpreter would deliver (including the dynamic store-lock check
-  that skips delivery inside a locked window).
+  bit-identical to the reference interpreter without per-cycle work.
 
 Specializability analysis (per loop region ``[start, end]``):
 
@@ -35,34 +27,29 @@ Specializability analysis (per loop region ``[start, end]``):
   the structural ``for`` translation cannot express.
 
 Everything else falls back: unspecializable loops run on the fused
-superblock path, hooks without a ``cadence`` run on the inherited
-per-cycle stepped loop (bit-exact hook visibility), and a loop record
-that does not match a compiled entry is simply dispatched normally.  The
-guard rails of :mod:`repro.sim.fastsim` carry over unchanged — control
-transfers override the loop back-edge, and loop-final instructions keep
-their back-edge-vs-taken-branch semantics — because unspecializable
-shapes never reach the generated loop bodies.
+superblock path, and a loop record that does not match a compiled entry
+is simply dispatched normally.  The guard rails of
+:mod:`repro.sim.fastsim` carry over unchanged — control transfers
+override the loop back-edge, and loop-final instructions keep their
+back-edge-vs-taken-branch semantics — because unspecializable shapes
+never reach the generated loop bodies.
 
-Error-path divergence: on ``max_cycles`` overruns and machine faults the
-cycle counter and per-pc counts may overshoot by up to the remaining
-iterations of the specialized loop (the fused path checks ``max_cycles``
-per superblock, so it can fire up to one block early), and ``pc``
-settles on the loop entry rather than the exact faulting instruction.
-Completed runs are bit-identical — cycles, operations, ``pc_counts``,
-memory, registers, and the full-state digest — which is what the
-differential fuzz oracle and the equivalence suites verify.
+A run with an interrupt hook never enters a loop closure: it takes the
+inherited per-cycle stepped loop (:meth:`FastSimulator._run_steps`), so
+the hook sees every cycle the reference interpreter delivers, may read
+and write any state, and may redirect ``pc`` — inside a hardware loop
+too — exactly as on ``interp``.  Hooked runs are bit-identical on every
+path, faults included.
 
-Interrupt protocol for cadence hooks: the hook promises to be a no-op
-whenever ``cycle % cadence != 0`` (so skipped calls are unobservable),
-may read and write memory and registers at delivery points, but must
-not redirect ``pc`` — a redirect inside a specialized loop raises
-:class:`~repro.sim.simulator.SimulationError`.  Hooks that need to
-redirect, or to observe every cycle, simply do not advertise a cadence.
-During specialized execution only the *armed* (top-of-stack) loop
-record is maintained; records of inlined inner loops are not pushed,
-and the armed record's count is refreshed at chunk boundaries, so
-cadence hooks must not inspect ``loop_stack`` beyond the documented
-fields.
+Error-path divergence (hook-free runs only): on ``max_cycles`` overruns
+and machine faults the cycle counter and per-pc counts may overshoot by
+up to the remaining iterations of the specialized loop (the fused path
+checks ``max_cycles`` per superblock, so it can fire up to one block
+early), and ``pc`` settles on the loop entry rather than the exact
+faulting instruction.  Completed runs are bit-identical — cycles,
+operations, ``pc_counts``, memory, registers, and the full-state digest
+— which is what the differential fuzz oracle and the equivalence suites
+verify.
 """
 
 import re
@@ -104,8 +91,7 @@ class LoopJitSimulator(FastSimulator):
       remaining iteration;
     * any hook — the inherited stepped loop
       (:meth:`FastSimulator._run_steps`), which calls the hook after
-      every cycle; a hook with an integer ``cadence`` attribute adds
-      chunked loop closures that fast-forward between delivery cycles.
+      every cycle.
     """
 
     backend_name = "jit"
@@ -119,11 +105,10 @@ class LoopJitSimulator(FastSimulator):
         #: pc -> loop closure (hook-free mode), parallel end-pc table
         self._entries = None
         self._entry_ends = None
-        #: start pc -> (chunked loop closure, end pc) (cadence mode),
-        #: compiled per (hook, cadence) signature
-        self._chunks = None
-        self._chunk_sig = None
         self._nest_cache = None
+        #: one-element list holding the running cycle count, shared by
+        #: the fused loop and the loop closures
+        self._cycle_cell = [0]
         #: pc -> register refs ("RA[3]", "SP[0]", ...) that pc touches;
         #: shared by every promotion map built for this simulator
         self._ref_cache = {}
@@ -187,10 +172,9 @@ class LoopJitSimulator(FastSimulator):
 
         Inner loops appear independently too: when an outer loop is
         unspecializable the inner loop still specializes the moment its
-        own record tops the stack, and the cadence-chunked path keys
-        its chunks off the innermost nests.  (Hook-free entry emission
-        filters this dict down to top-level nests — inner bodies are
-        inlined into the enclosing closure.)
+        own record tops the stack.  (Entry emission filters this dict
+        down to top-level nests — inner bodies are inlined into the
+        enclosing closure.)
         """
         if self._nest_cache is None:
             regions = self._unique_regions()
@@ -298,7 +282,7 @@ class LoopJitSimulator(FastSimulator):
             if not ref.startswith("SP")
         ]
 
-    def _emit_body(self, node, cb, out, depth, pad_cache=None):
+    def _emit_body(self, node, cb, out, depth):
         """Straight-line body of *node* with nested loops inlined."""
         pad = "    " * depth
         before = len(out)
@@ -375,15 +359,9 @@ class LoopJitSimulator(FastSimulator):
     def _compile_loops(self):
         count = len(self.program.instructions)
         cache = self._codegen_cache()
-        # max_cycles is baked into the generated clamps and check_bounds
-        # changes the emitted source, so both key the cached batch
-        # alongside the program itself.
-        cache_key = (
-            type(self).__qualname__,
-            "loops",
-            self.max_cycles,
-            self.check_bounds,
-        )
+        # max_cycles is baked into the generated clamps, so it keys the
+        # cached batch alongside the program itself.
+        cache_key = (type(self).__qualname__, "loops", self.max_cycles)
         entry = cache.get(cache_key)
         if entry is None:
             keys = [None] * count
@@ -423,144 +401,10 @@ class LoopJitSimulator(FastSimulator):
         self._entry_ends = ends
 
     # ------------------------------------------------------------------
-    # Cadence-chunked code generation (interrupt mode)
-    # ------------------------------------------------------------------
-    def _emit_instrumented(self, nest, cb, out, depth, period, hook_name):
-        """One per-cycle iteration containing a delivery point: after
-        every instruction the cycle counter advances and, on a delivery
-        cycle, the hook runs against synchronized simulator state — the
-        same pc, cycle, lock-window gate, and committed writes the
-        reference interpreter would present."""
-        pad = "    " * depth
-        pad2 = "    " * (depth + 1)
-        pad3 = "    " * (depth + 2)
-        start, end = nest.start, nest.end
-        stores = self._promotion_stores(cb)
-        for pc in range(start, end + 1):
-            last = pc == end
-            self._emit_instruction(pc, cb, out, pad)
-            if last:
-                # The back-edge decrements the armed count before the
-                # end-of-body delivery can observe it.
-                out.append(pad + "q -= 1")
-                out.append(pad + "rec[2] = q")
-            out.append(pad + "cy += 1")
-            out.append(pad + "if not cy %% %d:" % period)
-            for ref, local in stores:
-                out.append(pad2 + "%s = %s" % (ref, local))
-            out.append(pad2 + "SIM.cycle = cy")
-            if last:
-                out.append(pad2 + "np = %d if q else %d" % (start, end + 1))
-            else:
-                out.append(pad2 + "np = %d" % (pc + 1))
-            out.append(pad2 + "SIM.pc = np")
-            out.append(pad2 + "if not SIM.locked:")
-            out.append(pad3 + "%s(SIM, cy)" % hook_name)
-            out.append(pad3 + "if SIM.pc != np:")
-            out.append(pad3 + "    SIM._jit_redirected(SIM.pc)")
-            for ref, local in stores:
-                out.append(pad2 + "%s = %s" % (local, ref))
-
-    def _emit_fast_iterations(self, nest, cb, out, depth):
-        before = len(out)
-        pad = "    " * depth
-        for pc in range(nest.start, nest.end + 1):
-            self._emit_instruction(pc, cb, out, pad)
-        if len(out) == before:
-            out.append(pad + "pass")
-
-    def _chunk_builder(self, nest, hook, period):
-        """Builder for one cadence-chunked (innermost) loop closure."""
-        cb = _CodeBuilder()
-        cb.promoted = self._promotion_map(nest.start, nest.end)
-        hook_name = cb.const(hook)
-        out = cb.lines
-        b = nest.end - nest.start + 1
-        maxc = self.max_cycles
-        out.append("rec = LS[-1]")
-        out.append("q = rec[2]")
-        out.append("cy = CY[0]")
-        out.append("it = 0")
-        for ref, local in self._promotion_loads(cb):
-            out.append("%s = %s" % (local, ref))
-        out.append("try:")
-        out.append("    while q > 0:")
-        out.append("        if cy > %d:" % maxc)
-        out.append("            SIM._jit_max_cycles()")
-        out.append("        d = cy - cy %% %d + %d" % (period, period))
-        out.append("        k = (d - cy - 1) // %d" % b)
-        # Every remaining iteration completes before the next delivery:
-        # run them all at full speed and return.
-        out.append("        if k >= q:")
-        out.append("            if cy + q * %d > %d:" % (b, maxc))
-        out.append("                q = (%d - cy) // %d + 1" % (maxc, b))
-        out.append("            it += q")
-        out.append("            cy += q * %d" % b)
-        out.append("            for _ in range(q):")
-        self._emit_fast_iterations(nest, cb, out, 4)
-        out.append("            break")
-        # Fast-forward the iterations that fit before the delivery...
-        out.append("        if k:")
-        out.append("            if cy + k * %d > %d:" % (b, maxc))
-        out.append("                k = (%d - cy) // %d + 1" % (maxc, b))
-        out.append("            it += k")
-        out.append("            cy += k * %d" % b)
-        out.append("            for _ in range(k):")
-        self._emit_fast_iterations(nest, cb, out, 4)
-        out.append("            q -= k")
-        out.append("            if cy > %d:" % maxc)
-        out.append("                SIM._jit_max_cycles()")
-        # ...then single-step the iteration containing the delivery.
-        out.append("        it += 1")
-        out.append("        rec[2] = q")
-        self._emit_instrumented(nest, cb, out, 2, period, hook_name)
-        out.append("    if cy > %d:" % maxc)
-        out.append("        SIM._jit_max_cycles()")
-        out.append("finally:")
-        for ref, local in self._promotion_stores(cb):
-            out.append("    %s = %s" % (ref, local))
-        out.append("    CY[0] = cy")
-        for pc in range(nest.start, nest.end + 1):
-            out.append("    PCC[%d] += it" % pc)
-        out.append("LS.pop()")
-        out.append("return %d" % (nest.end + 1))
-        return cb
-
-    def _compile_chunk_loops(self, hook, period):
-        pieces = []
-        bindings = []
-        ends = {}
-        for start, nest in self._nests().items():
-            if nest.children:
-                # Outer levels of a nest run per-cycle under a hook;
-                # the innermost loops still chunk via their own entry.
-                continue
-            cb = self._chunk_builder(nest, hook, period)
-            pieces.append(self._factory(start, cb))
-            bindings.append((start, cb.args))
-            ends[start] = nest.end
-        code = compile("\n".join(pieces), "<loopjit>", "exec")
-        closures = self._exec_code(code, bindings)
-        self._chunks = {
-            start: (closures[start], end) for start, end in ends.items()
-        }
-        # Hold the hook itself (not id(hook)): a recycled id after the
-        # original hook is garbage-collected must not satisfy the
-        # signature check and reuse closures bound to the dead hook.
-        self._chunk_sig = (hook, period)
-
-    # ------------------------------------------------------------------
     # Faults raised from generated code
     # ------------------------------------------------------------------
     def _jit_max_cycles(self):
         raise CycleLimitError("exceeded max_cycles=%d" % self.max_cycles)
-
-    def _jit_redirected(self, pc):
-        raise SimulationError(
-            "interrupt hook redirected pc to %d inside a specialized "
-            "loop; cadence hooks must not transfer control (install a "
-            "hook without a cadence to use the per-cycle path)" % pc
-        )
 
     # ------------------------------------------------------------------
     # Execution
@@ -570,18 +414,7 @@ class LoopJitSimulator(FastSimulator):
         hook = self.interrupt_hook
         if hook is None:
             return self._run_fused()
-        cadence = getattr(hook, "cadence", None)
-        if not (
-            isinstance(cadence, int)
-            and not isinstance(cadence, bool)
-            and cadence > 0
-        ):
-            # Arbitrary hooks see every cycle: no chunked loops.
-            return self._run_steps(hook)
-        sig = self._chunk_sig
-        if sig is None or sig[0] is not hook or sig[1] != cadence:
-            self._compile_chunk_loops(hook, cadence)
-        return self._run_steps(hook, self._chunks)
+        return self._run_steps(hook)
 
     def _run_fused(self):
         if self._blocks is None:

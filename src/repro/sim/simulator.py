@@ -91,9 +91,9 @@ class Simulator:
     interrupt_hook:
         Optional callable ``hook(simulator, cycle) -> None`` invoked
         between instructions (except while a locked store pair is open).
-    check_bounds:
-        Verify every memory access stays inside its symbol — catches
-        compiler bugs at the cost of some simulation speed.
+
+    Every memory access is checked against its symbol's bounds, which
+    catches compiler bugs as machine faults.
     """
 
     #: backend identifier attached to faults (subclasses override)
@@ -105,13 +105,11 @@ class Simulator:
         stack_words=16384,
         max_cycles=200_000_000,
         interrupt_hook=None,
-        check_bounds=True,
     ):
         self.program = program
         self.stack_words = stack_words
         self.max_cycles = max_cycles
         self.interrupt_hook = interrupt_hook
-        self.check_bounds = check_bounds
 
         layout = program.layout
         self.data_size = [layout.data_size_x, layout.data_size_y]
@@ -354,13 +352,12 @@ class Simulator:
             address = self.sp[bank_index] + offset + index
         else:
             address = base + index
-        if self.check_bounds:
-            symbol = op.symbol
-            if not 0 <= index < symbol.size:
-                raise SimulationError(
-                    "index %d out of bounds for %s[%d] at pc=%d"
-                    % (index, symbol.name, symbol.size, self.pc)
-                )
+        symbol = op.symbol
+        if not 0 <= index < symbol.size:
+            raise SimulationError(
+                "index %d out of bounds for %s[%d] at pc=%d"
+                % (index, symbol.name, symbol.size, self.pc)
+            )
         return address
 
     def _enter_main(self):

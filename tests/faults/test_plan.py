@@ -66,4 +66,4 @@ def test_for_plan_disarms_empty_plans():
     assert FaultInjector.for_plan(FaultPlan(seed=0, events=[])) is None
     armed = FaultInjector.for_plan(generate_plan(0))
     assert armed is not None
-    assert armed.cadence in CADENCES
+    assert armed.plan.cadence in CADENCES

@@ -3,12 +3,11 @@
 The compiled backends store generated closures in a cache that lives on
 the shared program object, so two simulators over the same program can
 skip recompilation.  The cache key must therefore capture everything
-that changes the *generated source*: backend class, ``max_cycles``
-(baked into the jit's cycle clamps), and — the bug these tests pin —
-``check_bounds``, which adds or removes the bounds-check lines.  A
-simulator must also never reuse closures specialized for another
-instance's interrupt hook or cadence (fault plans and injectors are
-stateful), no matter what a previous run cached on the program.
+that changes the *generated source*: backend class and ``max_cycles``
+(baked into the jit's cycle clamps); bounds checks are always emitted.
+A simulator must also never reuse closures bound to another instance's
+interrupt hook (fault plans and injectors are stateful), no matter what
+a previous run cached on the program.
 """
 
 import pytest
@@ -23,7 +22,7 @@ from repro.sim.simulator import SimulationError, Simulator
 
 def _oob_module():
     """Indexes one element past `data`; `after` directly follows it, so
-    the unchecked machine reads 7.0 while the checked one faults."""
+    only the bounds check stops the read landing in another symbol."""
     pb = ProgramBuilder("t")
     data = pb.global_array("data", 4, float, init=[0.0] * 4, opaque=True)
     pb.global_array("after", 4, float, init=[7.0] * 4, opaque=True)
@@ -35,34 +34,15 @@ def _oob_module():
     return pb.build()
 
 
-@pytest.mark.parametrize("backend", ["jit", "batch"])
-def test_cached_program_does_not_leak_disabled_bounds_checks(backend):
-    """A relaxed (check_bounds=False) run must not poison the cache for
-    a later strict simulator over the same program object."""
+@pytest.mark.parametrize("backend", ["interp", "jit", "batch"])
+def test_bounds_checks_cannot_be_disabled(backend):
+    """Bounds checks are not a simulator option: every backend faults
+    on the out-of-bounds read and rejects a ``check_bounds`` keyword."""
     compiled = compile_module(_oob_module(), strategy=Strategy.SINGLE_BANK)
-    relaxed = make_simulator(
-        compiled.program, backend=backend, check_bounds=False
-    )
-    relaxed.run()
-    assert relaxed.read_global("out") == 7.0
-    strict = make_simulator(compiled.program, backend=backend)
     with pytest.raises(SimulationError, match="out of bounds"):
-        strict.run()
-
-
-@pytest.mark.parametrize("backend", ["jit", "batch"])
-def test_cached_program_does_not_leak_enabled_bounds_checks(backend):
-    """...and the reverse order: a strict run first must not make the
-    relaxed simulator fault."""
-    compiled = compile_module(_oob_module(), strategy=Strategy.SINGLE_BANK)
-    strict = make_simulator(compiled.program, backend=backend)
-    with pytest.raises(SimulationError, match="out of bounds"):
-        strict.run()
-    relaxed = make_simulator(
-        compiled.program, backend=backend, check_bounds=False
-    )
-    relaxed.run()
-    assert relaxed.read_global("out") == 7.0
+        make_simulator(compiled.program, backend=backend).run()
+    with pytest.raises(TypeError):
+        make_simulator(compiled.program, backend=backend, check_bounds=False)
 
 
 def _hooked_module():
@@ -80,13 +60,13 @@ def _hooked_module():
 
 
 def test_cached_program_rerun_under_different_cadence():
-    """The jit specializes loop bodies per (hook, cadence); re-running a
-    cached program under a different cadence — or the same cadence with
-    a *different* hook object — must deliver by the new hook, matching
-    the reference interpreter's delivery count exactly."""
+    """Re-running a cached program under a different hook period — or
+    the same period with a *different* hook object — must deliver by
+    the new hook, matching the reference interpreter's delivery count
+    exactly."""
     module = _hooked_module()
     compiled = compile_module(module, strategy=Strategy.CB)
-    for period in (3, 7, 3):  # returning to 3 must not resurrect period-7 code
+    for period in (3, 7, 3):  # a fresh hook per run, as fault runs install
         reference = InterruptInjector(module, period=period)
         Simulator(compiled.program, interrupt_hook=reference).run()
         injector = InterruptInjector(module, period=period)
@@ -98,30 +78,22 @@ def test_cached_program_rerun_under_different_cadence():
         assert injector.delivered > 0
 
 
-def test_chunk_signature_compares_hook_by_reference():
-    """The cadence signature must hold the hook object itself — matching
-    a recycled ``id()`` would reuse closures bound to a dead injector."""
+def test_max_cycles_keys_the_shared_cache():
+    """Distinct ``max_cycles`` budgets coexist in one program's cache
+    without evicting or colliding with each other."""
     module = _hooked_module()
     compiled = compile_module(module, strategy=Strategy.CB)
-    injector = InterruptInjector(module, period=5)
-    sim = make_simulator(
-        compiled.program, backend="jit", interrupt_hook=injector
+    expected = Simulator(compiled.program).run().cycles
+    for max_cycles in (expected, 10**6, expected):
+        sim = make_simulator(
+            compiled.program, backend="jit", max_cycles=max_cycles
+        )
+        assert sim.run().cycles == expected
+    starved = make_simulator(
+        compiled.program, backend="jit", max_cycles=expected - 1
     )
-    sim.run()
-    assert sim._chunk_sig[0] is injector
-    assert sim._chunk_sig[1] == 5
-
-
-def test_max_cycles_and_bounds_key_the_shared_cache():
-    """Distinct (max_cycles, check_bounds) configurations coexist in one
-    program's cache without evicting or colliding with each other."""
-    compiled = compile_module(_oob_module(), strategy=Strategy.SINGLE_BANK)
-    make_simulator(compiled.program, backend="jit", check_bounds=False).run()
-    with pytest.raises(SimulationError):
-        make_simulator(compiled.program, backend="jit").run()
-    # the relaxed closures must still be intact after the strict compile
-    again = make_simulator(
-        compiled.program, backend="jit", check_bounds=False
-    )
-    again.run()
-    assert again.read_global("out") == 7.0
+    with pytest.raises(SimulationError, match="max_cycles"):
+        starved.run()
+    # the roomy closures must still be intact after the starved compile
+    again = make_simulator(compiled.program, backend="jit", max_cycles=10**6)
+    assert again.run().cycles == expected

@@ -205,23 +205,20 @@ def _two_fault_instruction(index, division_first):
 
 
 @pytest.mark.parametrize(
-    "index, division_first, check_bounds, error",
+    "index, division_first, error",
     [
-        (4, True, True, ZeroDivisionError),
-        (10**6, False, False, IndexError),
+        (4, True, ZeroDivisionError),
+        (10**6, False, SimulationError),
     ],
-    ids=["division-then-bounds-check", "unchecked-load-then-division"],
+    ids=["division-then-bounds-check", "bounds-check-then-division"],
 )
-def test_first_fault_in_slot_order_wins(index, division_first, check_bounds,
-                                        error):
+def test_first_fault_in_slot_order_wins(index, division_first, error):
     """An operation the codegen evaluates in the write phase must not
     let a later operation's fault overtake its own: every backend
     reports the fault the interpreter meets first."""
     program = _two_fault_instruction(index, division_first)
     for backend in ALL_BACKENDS:
-        simulator = make_simulator(
-            program, backend=backend, check_bounds=check_bounds
-        )
+        simulator = make_simulator(program, backend=backend)
         with pytest.raises(error):
             simulator.run()
 

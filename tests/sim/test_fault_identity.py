@@ -1,12 +1,13 @@
-"""Cross-backend fault-outcome identity (the ISSUE 5 contract).
+"""Cross-backend fault-outcome identity.
 
 For the same program and the same seeded FaultPlan, all three simulator
 backends must classify the faulted run identically, and completed runs
 must be bit-identical in architectural state and injector record —
-because injection rides the cadence hook protocol whose delivery cycles
-are already proven identical by the interrupt suite.  Crash/hang runs
-compare by outcome class and error category only (the jit backend
-checks max_cycles at block granularity by design).
+because injection rides the interrupt-hook protocol whose delivery
+cycles are already proven identical by the interrupt suite.  An armed
+plan installs a hook, and every backend runs a hooked program one cycle
+at a time, so crash/hang runs must also agree on the fault's pc and
+cycle.
 """
 
 import pytest
@@ -23,6 +24,7 @@ from repro.partition.strategies import Strategy
 from repro.workloads.kernels.autocorr import Autocorr
 from repro.workloads.kernels.fir import Fir
 from repro.workloads.kernels.iir import Iir
+from repro.workloads.registry import get_workload
 
 BACKENDS = ("interp", "jit", "batch")
 
@@ -98,3 +100,18 @@ def test_hang_identity():
         assert result["outcome"] == "hang"
         projections.add(tuple(sorted(comparable(result).items())))
     assert len(projections) == 1
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [("latnrm_8_1", 1), ("mult_4_4", 1), ("histogram", 5)],
+)
+def test_crash_location_identity(name, seed):
+    """Armed crashes report the interpreter's pc and cycle on every
+    backend.  These three fault inside hardware loops that jit
+    specializes on its hook-free path, where a loop closure would
+    settle pc on the loop entry and overshoot the cycle count."""
+    result = _identical_projections(get_workload(name), Strategy.CB, seed)
+    assert result["outcome"] == "crash"
+    assert result["error"]["pc"] is not None
+    assert result["error"]["cycle"] is not None

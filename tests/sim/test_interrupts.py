@@ -1,11 +1,10 @@
 """Interrupt injection and the store-lock/store-unlock protocol.
 
 Every test runs on all three simulator backends: installing a hook
-moves the jit backend off its fused-superblock path onto its stepped
-loop, with chunked loop closures for hooks advertising a ``cadence``
-(like :class:`InterruptInjector`), and sends hooked batch lanes to that
-same jit path — all of which must honour the same delivery and
-lock-window rules as the reference interpreter.
+moves the jit backend off its fused-superblock path onto its per-cycle
+stepped loop, and sends hooked batch lanes to that same jit path — all
+of which must honour the same delivery and lock-window rules as the
+reference interpreter.
 """
 
 import pytest

@@ -3,10 +3,10 @@
 The differential suites (``test_fastsim_equivalence``, the fuzz oracle,
 ``test_interrupts``) establish bit-identity on real workloads; the tests
 here pin the backend's *mechanisms*: which loop shapes specialize, how
-the three run modes are selected, the cadence-hook protocol, the
-fault-path contract, and the per-program codegen cache.  The codegen
-stress tests (large trip counts, deep nesting) run under ``-m
-full_diff`` so tier-1 stays fast.
+the two run modes are selected, hook delivery (and pc redirects) inside
+loop nests, the fault-path contract, and the per-program codegen cache.
+The codegen stress tests (large trip counts, deep nesting) run under
+``-m full_diff`` so tier-1 stays fast.
 """
 
 import pytest
@@ -74,10 +74,9 @@ def test_counted_nest_is_specialized():
 
 
 def test_inner_loops_get_their_own_entries():
-    """Inner loops register independently in the analysis (the cadence
-    path chunks innermost nests, and they still specialize when the
-    enclosing loop cannot) — but the hook-free dispatch table only
-    carries top-level nests: inner bodies are inlined into the
+    """Inner loops register independently in the analysis (they still
+    specialize when the enclosing loop cannot) — but the dispatch table
+    only carries top-level nests: inner bodies are inlined into the
     enclosing closure, so a standalone inner entry would be dead
     codegen weight."""
     program = _program(_counted_nest_module())
@@ -203,16 +202,6 @@ def test_hook_free_run_uses_fused_path_with_entries():
     assert sim._steps is None
 
 
-def test_cadence_hook_uses_chunked_path():
-    program = _program(_counted_nest_module())
-    hook = InterruptInjector(program.module, period=3)
-    sim = make_simulator(program, backend="jit", interrupt_hook=hook)
-    sim.run()
-    assert sim._steps is not None
-    assert sim._chunks  # at least one chunked loop closure
-    assert sim._blocks is None
-
-
 def _delivery_cycles(program, backend, cadence=None):
     seen = []
 
@@ -226,20 +215,20 @@ def _delivery_cycles(program, backend, cadence=None):
 
 
 def test_generic_hook_delegates_to_per_cycle_path():
-    """A hook without a cadence must see exactly the cycle sequence the
-    interpreter delivers — the jit backend runs the inherited stepped
-    loop with no chunked loops."""
+    """Any hook runs the inherited stepped loop and sees exactly the
+    cycle sequence the interpreter delivers; a ``cadence`` attribute on
+    the hook, valid-looking or not, selects nothing."""
     program = _program(_counted_nest_module())
-    seen = []
-
-    def hook(sim, cycle):
-        seen.append(cycle)
-
-    sim = make_simulator(program, backend="jit", interrupt_hook=hook)
+    expected = _delivery_cycles(program, "interp")
+    assert expected
+    for cadence in (None, 7, 0, -3, True, "7", 2.0):
+        assert _delivery_cycles(program, "jit", cadence=cadence) == expected
+    sim = make_simulator(
+        program, backend="jit", interrupt_hook=lambda sim, cycle: None
+    )
     sim.run()
-    assert seen == _delivery_cycles(program, "interp")
-    assert seen
-    assert sim._chunks is None
+    assert sim._steps is not None
+    assert sim._blocks is None and sim._entries is None
 
 
 @pytest.mark.parametrize("period", [1, 2, 3, 5, 17])
@@ -262,8 +251,8 @@ def test_cadence_deliveries_land_mid_loop_identically(period):
 
 
 def test_cadence_hook_memory_writes_visible():
-    """A cadence hook writing a global mid-run must be observed by the
-    specialized loop exactly as on the interpreter."""
+    """A hook writing a global mid-run inside a specializable loop must
+    be observed exactly as on the interpreter."""
     pb = ProgramBuilder("t")
     flagbox = pb.global_array("flagbox", 1, int)
     out = pb.global_scalar("out", int)
@@ -292,34 +281,45 @@ def test_cadence_hook_memory_writes_visible():
     assert results["jit"][0] > 0
 
 
-def test_cadence_hook_redirect_raises():
-    """The cadence protocol forbids pc redirects inside specialized
-    loops; violating it fails loudly instead of silently diverging."""
-    program = _program(_counted_nest_module(outer=8, inner=32))
+def test_hook_redirect_inside_loop_nest_matches_interp():
+    """A one-shot hook that redirects pc inside a specializable loop
+    nest (from the inner body's last instruction, pc 3, back to the
+    outer body's first, pc 1) runs on jit exactly as on the
+    interpreter.  The hook carries a ``cadence`` attribute, which
+    selects nothing: every hook runs per cycle."""
+    pb = ProgramBuilder("t")
+    out = pb.global_scalar("out", float)
+    with pb.function("main") as f:
+        acc = f.float_var("acc")
+        f.assign(acc, 0.0)
+        with f.loop(8):
+            with f.loop(32):
+                f.assign(acc, acc + 1.0)
+                f.assign(acc, acc * 0.5)
+        f.assign(out[0], acc)
+    program = _program(pb.build())
+    assert sorted(program.loops.values()) == [(1, 4), (2, 3)]
 
-    class RedirectingHook:
-        cadence = 7
+    class RedirectOnce:
+        cadence = 1
+
+        def __init__(self):
+            self.fired = False
 
         def __call__(self, sim, cycle):
-            if cycle % 7 == 0 and cycle > 20:
-                sim.pc = 0
+            if not self.fired and cycle > 40 and sim.pc == 3:
+                self.fired = True
+                sim.pc = 1
 
-    sim = make_simulator(
-        program, backend="jit", interrupt_hook=RedirectingHook()
-    )
-    with pytest.raises(SimulationError, match="must not transfer control"):
-        sim.run()
-
-
-@pytest.mark.parametrize("cadence", [0, -3, True, "7", 2.0, None])
-def test_invalid_cadence_falls_back_to_per_cycle(cadence):
-    """Anything but a positive int cadence means "no cadence": the hook
-    sees exactly the interpreter's cycle sequence via the inherited
-    path."""
-    program = _program(_counted_nest_module())
-    seen = _delivery_cycles(program, "jit", cadence=cadence)
-    assert seen == _delivery_cycles(program, "interp")
-    assert seen
+    runs = {}
+    for backend in ("interp", "jit"):
+        hook = RedirectOnce()
+        sim = make_simulator(program, backend=backend, interrupt_hook=hook)
+        result = sim.run()
+        assert hook.fired
+        runs[backend] = (result.cycles, result.pc_counts, sim.state_digest())
+    assert runs["jit"] == runs["interp"]
+    assert runs["jit"][0] == 594
 
 
 # ----------------------------------------------------------------------

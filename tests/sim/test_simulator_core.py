@@ -87,22 +87,6 @@ def test_out_of_bounds_index_faults():
         sim.run()
 
 
-def test_bounds_check_can_be_disabled():
-    pb = ProgramBuilder("t")
-    # 'data' is first in bank X, 'after' directly follows it.
-    data = pb.global_array("data", 4, float, init=[0.0] * 4, opaque=True)
-    after = pb.global_array("after", 4, float, init=[7.0] * 4, opaque=True)
-    out = pb.global_scalar("out", float)
-    with pb.function("main") as f:
-        i = f.index_var("i")
-        f.assign(i, 4)
-        f.assign(out[0], data[i])
-    compiled = compile_module(pb.build(), strategy=Strategy.SINGLE_BANK)
-    sim = Simulator(compiled.program, check_bounds=False)
-    sim.run()  # reads into `after` without fault: raw machine behaviour
-    assert sim.read_global("out") == 7.0
-
-
 def test_runaway_guard():
     pb = ProgramBuilder("t")
     out = pb.global_scalar("out", int)

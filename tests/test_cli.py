@@ -486,3 +486,20 @@ def test_graph_command_produces_dot(capsys):
     out = capsys.readouterr().out
     assert out.startswith("graph interference {")
     assert '"coeff" -- "x"' in out or '"x" -- "coeff"' in out
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--cache-dir", "D"], "--cache-dir"),
+    (["--jobs", "2"], "--jobs"),
+])
+def test_report_workload_refuses_store_and_pool_flags(
+    flags, named, capsys, tmp_path, monkeypatch
+):
+    """The observability report times a fresh compile in this process,
+    so a flag it would silently ignore is a usage error instead."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["report", "--workload", "fir_32_1", *flags])
+    assert excinfo.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "D").exists()
