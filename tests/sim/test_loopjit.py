@@ -216,19 +216,28 @@ def _delivery_cycles(program, backend, cadence=None):
 
 def test_generic_hook_delegates_to_per_cycle_path():
     """Any hook runs the inherited stepped loop and sees exactly the
-    cycle sequence the interpreter delivers; a ``cadence`` attribute on
-    the hook, valid-looking or not, selects nothing."""
+    cycle sequence the interpreter delivers; a positive int ``cadence``
+    attribute on the hook selects nothing either."""
     program = _program(_counted_nest_module())
     expected = _delivery_cycles(program, "interp")
     assert expected
-    for cadence in (None, 7, 0, -3, True, "7", 2.0):
-        assert _delivery_cycles(program, "jit", cadence=cadence) == expected
+    assert _delivery_cycles(program, "jit", cadence=7) == expected
     sim = make_simulator(
         program, backend="jit", interrupt_hook=lambda sim, cycle: None
     )
     sim.run()
     assert sim._steps is not None
     assert sim._blocks is None and sim._entries is None
+
+
+@pytest.mark.parametrize("cadence", [0, -3, True, "7", 2.0, None])
+def test_invalid_cadence_falls_back_to_per_cycle(cadence):
+    """A ``cadence`` attribute of any value leaves the hook on the
+    per-cycle path: it sees exactly the interpreter's cycle sequence."""
+    program = _program(_counted_nest_module())
+    seen = _delivery_cycles(program, "jit", cadence=cadence)
+    assert seen == _delivery_cycles(program, "interp")
+    assert seen
 
 
 @pytest.mark.parametrize("period", [1, 2, 3, 5, 17])
