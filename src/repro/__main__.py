@@ -75,16 +75,14 @@ def _jobs(args):
     """Resolve --jobs: None = serial, 0 = all cores, N = exactly N
     workers — an explicit request is honoured even past the detected
     core count, with the decision surfaced instead of silently clamped."""
-    from repro.evaluation.parallel import resolve_jobs
-    from repro.obs.core import Recorder
+    from repro.evaluation.parallel import default_jobs, resolve_jobs
 
-    recorder = Recorder()
-    resolved = resolve_jobs(getattr(args, "jobs", None), observe=recorder)
-    if recorder.counters.get("jobs.oversubscribed"):
+    resolved = resolve_jobs(getattr(args, "jobs", None))
+    cores = default_jobs()
+    if resolved is not None and resolved > cores:
         print(
             "note: --jobs %d exceeds the %d detected core(s); honouring "
-            "the explicit request"
-            % (resolved, recorder.counters["jobs.cores"]),
+            "the explicit request" % (resolved, cores),
             file=sys.stderr,
         )
     return resolved

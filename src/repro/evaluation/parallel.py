@@ -18,9 +18,11 @@ over worker processes with :func:`supervised_map`:
   every pipeline stage is deterministic.
 
 :func:`supervised_map` is the one process pool: per-task timeouts,
-bounded retry with exponential backoff, dead-worker replacement,
-checkpoint/resume through a :class:`Journal`, and degradation to serial
-execution when workers keep dying.  Worker failures are re-raised
+bounded retry with exponential backoff for timeouts and worker deaths,
+dead-worker replacement, and checkpoint/resume through a
+:class:`Journal`.  Whenever the pool is in use every task runs in a
+worker, so a hung or exiting task never takes the supervisor with it.
+Worker failures are re-raised
 *cleanly* in the parent: simulator faults come back as the structured
 :mod:`repro.sim.errors` taxonomy (category, pc, backend, seed attached;
 the raw worker traceback on ``remote_traceback``, not vomited to the
@@ -74,30 +76,20 @@ def default_jobs():
     return os.cpu_count() or 1
 
 
-def resolve_jobs(jobs, observe=NULL_RECORDER):
+def resolve_jobs(jobs):
     """Resolve a user-facing ``--jobs`` value to a worker count.
 
     ``None`` stays serial, ``0`` means "all cores", and an explicit
     count is honoured exactly — a user who types ``--jobs 4`` gets four
     workers even on a smaller machine (the pipelines are CPU-bound, so
-    that oversubscribes; the decision is theirs).  The resolution is
-    recorded on *observe* instead of silently adjusting anything:
-    ``jobs.requested``/``jobs.resolved`` always, ``jobs.cores`` and
-    ``jobs.oversubscribed`` when an explicit request exceeds the
-    detected core count.
+    that oversubscribes; the decision is theirs, and the CLI notes it
+    on stderr).
     """
     if jobs is None:
         return None
     if jobs < 0:
         raise ValueError("jobs must be >= 0, got %d" % jobs)
-    cores = default_jobs()
-    resolved = cores if jobs == 0 else jobs
-    observe.counter("jobs.requested", jobs)
-    observe.counter("jobs.resolved", resolved)
-    if jobs > cores:
-        observe.counter("jobs.cores", cores)
-        observe.counter("jobs.oversubscribed", resolved - cores)
-    return resolved
+    return default_jobs() if jobs == 0 else jobs
 
 
 # ----------------------------------------------------------------------
@@ -175,6 +167,22 @@ class TaskFailure:
         return "<TaskFailure %s after %d attempt(s): %s>" % (
             self.kind, self.attempts, self.message,
         )
+
+
+def _task_failure(description, task_key, attempts):
+    """The in-slot :class:`TaskFailure` of an exhausted task, built from
+    its failure *description* (the
+    :func:`repro.sim.errors.describe_fault` shape; supervisor-side
+    failures supply just ``kind`` and ``message``) — the one constructor
+    both legs of :func:`supervised_map` use."""
+    return TaskFailure(
+        kind=description["kind"],
+        message=description["message"],
+        attempts=attempts,
+        task_key=task_key,
+        category=description.get("category"),
+        remote_traceback=description.get("traceback"),
+    )
 
 
 def _raise_remote(description, task_key=None, attempts=1):
@@ -341,7 +349,8 @@ class Journal:
     infinite crash/resume loop) or twice.
 
     Consumed by :func:`supervised_map` (and through it the fault and
-    fuzz campaigns) and by :func:`repro.evaluation.sweeps.sweep`.
+    fuzz campaigns) and by the service's write-ahead log
+    (:class:`repro.serve.service.SimService`).
     """
 
     def __init__(self, path):
@@ -489,54 +498,29 @@ def _pop_eligible(queue, now):
     return None
 
 
-def _run_serial(fn, arguments, pending, results, retries, backoff,
-                retry_errors, journal, emit, observe, initial=None,
-                on_error="raise"):
-    """Serial leg of :func:`supervised_map`: same retry and journal
-    semantics, no timeouts (nothing to terminate in-process).
+def _run_serial(fn, arguments, pending, results, journal, observe, initial,
+                on_error):
+    """Serial leg of :func:`supervised_map`: each task runs once,
+    in-process — no timeouts (nothing to terminate in-process) and no
+    retries (an exception raised by *fn* never retries).
 
-    ``initial`` maps task index -> first attempt number (resumed tasks
-    whose prior attempt was checkpointed in flight start past 1)."""
-    initial = initial or {}
+    ``initial`` maps task index -> the attempt to checkpoint (resumed
+    tasks whose prior attempt was checkpointed in flight start past 1)."""
     for index in pending:
         attempt = initial.get(index, 1)
-        failure = None
-        while True:
-            if journal is not None:
-                journal.mark_started(Journal.key_for(arguments[index]), attempt)
-            try:
-                result = fn(*arguments[index])
-            except KeyboardInterrupt:
+        if journal is not None:
+            journal.mark_started(Journal.key_for(arguments[index]), attempt)
+        try:
+            result = fn(*arguments[index])
+        except Exception as exc:
+            if on_error != "return":
                 raise
-            except Exception as exc:
-                if retry_errors and attempt <= retries:
-                    delay = backoff * (2 ** (attempt - 1))
-                    observe.counter("supervised.retries")
-                    emit(
-                        "task %d failed; retry %d/%d in %.2gs"
-                        % (index, attempt, retries, delay)
-                    )
-                    time.sleep(delay)
-                    attempt += 1
-                    continue
-                if on_error == "return":
-                    description = describe_fault(exc)
-                    failure = TaskFailure(
-                        kind=description.get("kind", type(exc).__name__),
-                        message=description.get("message", str(exc)),
-                        attempts=attempt,
-                        task_key=Journal.key_for(arguments[index]),
-                        category=description.get("category"),
-                        remote_traceback=description.get("traceback"),
-                    )
-                    observe.counter("supervised.failed")
-                    break
-                raise
-            break
-        if failure is not None:
             # terminal failures stay out of the journal: a resumed run
             # should retry them, not replay them as completed
-            results[index] = failure
+            results[index] = _task_failure(
+                describe_fault(exc), Journal.key_for(arguments[index]), attempt
+            )
+            observe.counter("supervised.failed")
             continue
         results[index] = result
         if journal is not None:
@@ -544,9 +528,8 @@ def _run_serial(fn, arguments, pending, results, retries, backoff,
 
 
 def _run_supervised_pool(fn, arguments, pending, results, jobs, timeouts,
-                         retries, backoff, retry_errors, degrade_after,
-                         journal, emit, observe, initial=None,
-                         on_error="raise"):
+                         retries, backoff, journal, emit, observe, initial,
+                         on_error):
     """Pool leg of :func:`supervised_map` (see its docstring for the
     contract).  Own Process/Pipe supervisor rather than an executor:
     per-task deadlines require terminating individual workers, which an
@@ -555,13 +538,9 @@ def _run_supervised_pool(fn, arguments, pending, results, jobs, timeouts,
     import multiprocessing
 
     context = multiprocessing.get_context()
-    initial = initial or {}
-    if degrade_after is None:
-        degrade_after = max(3, jobs + 1)
     queue = deque((index, initial.get(index, 1), 0.0) for index in pending)
     remaining = len(pending)
     workers = []
-    consecutive_failures = 0
 
     def spawn():
         parent_end, child_end = context.Pipe()
@@ -588,27 +567,26 @@ def _run_supervised_pool(fn, arguments, pending, results, jobs, timeouts,
         worker.process.join(timeout=5)
 
     def record_result(index, result):
-        nonlocal remaining, consecutive_failures
+        nonlocal remaining
         results[index] = result
         remaining -= 1
-        consecutive_failures = 0
         observe.counter("supervised.completed")
         if journal is not None:
             journal.record(Journal.key_for(arguments[index]), result)
 
-    def record_failure(index, failure):
+    def record_failure(index, attempt, description):
         # terminal failure returned in-slot (on_error="return"); *not*
         # journaled as completed, so a resumed run retries the task
         nonlocal remaining
-        results[index] = failure
+        results[index] = _task_failure(
+            description, Journal.key_for(arguments[index]), attempt
+        )
         remaining -= 1
         observe.counter("supervised.failed")
 
-    def fail_task(index, attempt, error_cls, reason, description=None,
-                  allow_retry=True):
-        nonlocal consecutive_failures
-        consecutive_failures += 1
-        if allow_retry and attempt <= retries:
+    def lose_attempt(index, attempt, error_cls, reason):
+        # a timeout or a worker death: retried while the budget lasts
+        if attempt <= retries:
             delay = backoff * (2 ** (attempt - 1))
             observe.counter("supervised.retries")
             emit(
@@ -617,35 +595,14 @@ def _run_supervised_pool(fn, arguments, pending, results, jobs, timeouts,
             )
             queue.append((index, attempt + 1, time.monotonic() + delay))
             return
+        message = "task %d %s; %d attempt(s) spent" % (index, reason, attempt)
         if on_error == "return":
-            kind = error_cls.__name__
-            message = "task %d %s after %d attempt(s)" % (
-                index, reason, attempt,
+            record_failure(
+                index, attempt, {"kind": error_cls.__name__, "message": message}
             )
-            category = remote_traceback = None
-            if description is not None:
-                kind = description.get("kind", kind)
-                message = description.get("message", message)
-                category = description.get("category")
-                remote_traceback = description.get("traceback")
-            record_failure(index, TaskFailure(
-                kind=kind,
-                message=message,
-                attempts=attempt,
-                task_key=Journal.key_for(arguments[index]),
-                category=category,
-                remote_traceback=remote_traceback,
-            ))
             return
-        if description is not None:
-            _raise_remote(
-                description,
-                task_key=Journal.key_for(arguments[index]),
-                attempts=attempt,
-            )
         raise error_cls(
-            "task %d %s after %d attempt(s)" % (index, reason, attempt),
-            task_key=Journal.key_for(arguments[index]),
+            message, task_key=Journal.key_for(arguments[index]),
             attempts=attempt,
         )
 
@@ -656,29 +613,6 @@ def _run_supervised_pool(fn, arguments, pending, results, jobs, timeouts,
     try:
         while remaining:
             now = time.monotonic()
-            if consecutive_failures >= degrade_after:
-                emit(
-                    "%d consecutive worker failures; degrading to serial "
-                    "execution" % consecutive_failures
-                )
-                observe.counter("supervised.degraded")
-                for worker in list(workers):
-                    if worker.task is not None:
-                        queue.append((worker.task[0], worker.task[1], 0.0))
-                        worker.task = None
-                    retire(worker)
-                serial_initial = {}
-                for entry in queue:
-                    if entry[1] > serial_initial.get(entry[0], 0):
-                        serial_initial[entry[0]] = entry[1]
-                serial_pending = sorted(serial_initial)
-                queue.clear()
-                _run_serial(
-                    fn, arguments, serial_pending, results, retries, backoff,
-                    retry_errors, journal, emit, observe,
-                    initial=serial_initial, on_error=on_error,
-                )
-                return
             # Reap idle workers that died between tasks, then dispatch.
             for worker in [
                 w for w in list(workers)
@@ -745,7 +679,8 @@ def _run_supervised_pool(fn, arguments, pending, results, jobs, timeouts,
                     observe.counter("supervised.worker_deaths")
                     retire(worker)
                     if task is not None:
-                        fail_task(task[0], task[1], WorkerDied, "worker died")
+                        lose_attempt(task[0], task[1], WorkerDied,
+                                     "worker died")
                     continue
                 worker.task = None
                 index, status, payload = message
@@ -754,12 +689,14 @@ def _run_supervised_pool(fn, arguments, pending, results, jobs, timeouts,
                     continue
                 if payload.get("kind") == "KeyboardInterrupt":
                     raise KeyboardInterrupt()
+                # an exception raised by fn never retries
                 attempt = task[1] if task is not None else 1
-                fail_task(
-                    index, attempt, TaskError,
-                    "failed (%s)" % payload.get("kind"), payload,
-                    allow_retry=retry_errors,
-                )
+                if on_error != "return":
+                    _raise_remote(
+                        payload, task_key=Journal.key_for(arguments[index]),
+                        attempts=attempt,
+                    )
+                record_failure(index, attempt, payload)
             now = time.monotonic()
             for worker in list(workers):
                 if worker.task is None:
@@ -770,7 +707,7 @@ def _run_supervised_pool(fn, arguments, pending, results, jobs, timeouts,
                     observe.counter("supervised.timeouts")
                     worker.task = None
                     retire(worker)
-                    fail_task(
+                    lose_attempt(
                         index, attempt, TaskTimeout,
                         "timed out after %.2gs" % limit,
                     )
@@ -779,19 +716,19 @@ def _run_supervised_pool(fn, arguments, pending, results, jobs, timeouts,
 
 
 def supervised_map(fn, argument_tuples, jobs=None, timeout=None, retries=2,
-                   backoff=0.25, journal=None, retry_errors=False,
-                   degrade_after=None, log=None, observe=NULL_RECORDER,
+                   backoff=0.25, journal=None, log=None, observe=NULL_RECORDER,
                    on_error="raise"):
     """Map a picklable top-level *fn* over argument tuples, supervising
     every task to completion.
 
-    The one process pool: behind ``repro faults``, the fuzzer, sweeps,
-    the serving dispatcher, and (with ``retries=0``) the figure/table
+    The one process pool: behind ``repro faults``, the fuzzer, the
+    serving dispatcher, and (with ``retries=0``) the figure/table
     regenerations and the gap study.  Semantics:
 
-    * ``jobs`` in (None, 0, 1) runs serially in-process; otherwise
-      *jobs* supervised worker processes are spawned, each running one
-      task at a time over a duplex pipe;
+    * ``jobs`` in (None, 0, 1) runs serially in-process, as does a
+      single pending task without a timeout; otherwise *jobs*
+      supervised worker processes are spawned, each running one task at
+      a time over a duplex pipe, and every task runs in a worker;
     * ``timeout`` (seconds, pool mode only) bounds each task attempt;
       an overrunning worker is **terminated** and the task retried.  A
       scalar applies to every task; a sequence supplies one deadline
@@ -799,11 +736,12 @@ def supervised_map(fn, argument_tuples, jobs=None, timeout=None, retries=2,
       service propagates per-job ``deadline_ms`` values into one
       coalesced dispatch;
     * a worker that dies mid-task (killed, segfault, ``os._exit``) is
-      replaced and its task retried — timeouts and deaths always
-      consume the ``retries`` budget with exponential ``backoff``
-      (``backoff * 2**(attempt-1)`` seconds); exceptions *raised by fn*
-      only retry when ``retry_errors`` is set, otherwise they re-raise
-      immediately (structured sim taxonomy / :class:`TaskError`);
+      replaced and its task retried — timeouts and deaths are the only
+      failures that retry, consuming the ``retries`` budget with
+      exponential ``backoff`` (``backoff * 2**(attempt-1)`` seconds);
+      an exception *raised by fn* never retries, on either leg
+      (structured sim taxonomy / :class:`TaskError` from a worker, the
+      original exception in-process);
     * ``on_error`` controls what an *exhausted* task does to the rest
       of the map: ``"raise"`` (default) aborts the whole run with the
       task's exception; ``"return"`` places a :class:`TaskFailure` in
@@ -815,9 +753,6 @@ def supervised_map(fn, argument_tuples, jobs=None, timeout=None, retries=2,
       results returned — so an interrupted campaign resumes where it
       stopped.  Results must be JSON-serializable (tuples come back as
       lists);
-    * after ``degrade_after`` consecutive worker-level failures
-      (default ``max(3, jobs + 1)``) the pool is torn down and the rest
-      of the run degrades to serial in-process execution;
     * ``KeyboardInterrupt`` — in the parent or raised by a task —
       terminates every worker, flushes the journal, and re-raises.
 
@@ -864,15 +799,13 @@ def supervised_map(fn, argument_tuples, jobs=None, timeout=None, retries=2,
             len(pending) == 1 and timeouts[pending[0]] is None
         ):
             _run_serial(
-                fn, arguments, pending, results, retries, backoff,
-                retry_errors, journal, emit, observe, initial=initial,
-                on_error=on_error,
+                fn, arguments, pending, results, journal, observe, initial,
+                on_error,
             )
         else:
             _run_supervised_pool(
                 fn, arguments, pending, results, jobs, timeouts, retries,
-                backoff, retry_errors, degrade_after, journal, emit, observe,
-                initial=initial, on_error=on_error,
+                backoff, journal, emit, observe, initial, on_error,
             )
     finally:
         if journal is not None:

@@ -114,13 +114,13 @@ def aggregate(rows, backend="interp"):
 
 def fault_campaign(runs, seed=0, jobs=None, workloads=None, strategies=None,
                    backend="interp", journal=None, timeout=None, retries=2,
-                   backoff=0.25, log=None, observe=NULL_RECORDER):
+                   log=None, observe=NULL_RECORDER):
     """Run a resilience campaign and return its aggregate report.
 
     *runs* seeded experiments (seeds ``seed .. seed+runs-1``) per
     (workload, strategy) pair; *workloads*/*strategies* default to
     :data:`DEFAULT_WORKLOADS`/:data:`DEFAULT_STRATEGIES`.  *journal*,
-    *timeout*, *retries*, *backoff*, *jobs*, and *log* are passed to
+    *timeout*, *retries*, *jobs*, and *log* are passed to
     :func:`~repro.evaluation.parallel.supervised_map` — worker deaths
     and timeouts retry, everything completed lands in the journal, and
     an interrupted campaign rerun with the same journal resumes and
@@ -148,7 +148,7 @@ def fault_campaign(runs, seed=0, jobs=None, workloads=None, strategies=None,
     with observe.span("faults.campaign"):
         rows = supervised_map(
             run_task, tasks, jobs=jobs, timeout=timeout, retries=retries,
-            backoff=backoff, journal=journal, log=log, observe=observe,
+            journal=journal, log=log, observe=observe,
         )
     report = aggregate(rows, backend=backend)
     observe.counter("faults.rows", len(rows))

@@ -35,14 +35,6 @@ def _fail(x):
     raise ValueError("boom %d" % x)
 
 
-def _fail_once(path, x):
-    if not os.path.exists(path):
-        with open(path, "w") as handle:
-            handle.write("1")
-        raise ValueError("first attempt")
-    return x
-
-
 def _die(_x):
     os._exit(3)
 
@@ -57,7 +49,7 @@ def _die_until_flag(path, x):
 
 def _worker_only_exit(x):
     # dies in any supervised worker, succeeds in the parent process —
-    # the shape that forces degradation to serial execution
+    # the shape that would expose a task run outside the pool
     if multiprocessing.parent_process() is not None:
         os._exit(5)
     return x + 100
@@ -65,6 +57,11 @@ def _worker_only_exit(x):
 
 def _sleep_forever(_x):
     time.sleep(60)
+
+
+def _sleep_s(seconds):
+    time.sleep(seconds)
+    return seconds
 
 
 def _machine_fault(_x):
@@ -104,28 +101,25 @@ def test_resolve_jobs():
     assert resolve_jobs(0) == default_jobs()
     assert resolve_jobs(1) == 1
     # An explicit request is honoured exactly, even past the detected
-    # core count — the user asked for it, the recorder logs it.
+    # core count — the user asked for it, the CLI notes it.
     assert resolve_jobs(10_000) == 10_000
     with pytest.raises(ValueError):
         resolve_jobs(-1)
 
 
-def test_resolve_jobs_records_decision():
-    recorder = Recorder()
-    oversubscribed = default_jobs() + 3
-    assert resolve_jobs(oversubscribed, observe=recorder) == oversubscribed
-    assert recorder.counters["jobs.requested"] == oversubscribed
-    assert recorder.counters["jobs.resolved"] == oversubscribed
-    assert recorder.counters["jobs.cores"] == default_jobs()
-    assert recorder.counters["jobs.oversubscribed"] == 3
+def test_cli_jobs_notes_oversubscription(monkeypatch, capsys):
+    """``--jobs 2`` on a one-core machine resolves to exactly 2 and
+    prints the oversubscription note; ``--jobs 0`` resolves to the core
+    count silently.  Resolution alone starts no process."""
+    from repro.__main__ import _jobs, build_parser
 
-
-def test_resolve_jobs_within_cores_records_no_oversubscription():
-    recorder = Recorder()
-    assert resolve_jobs(0, observe=recorder) == default_jobs()
-    assert recorder.counters["jobs.requested"] == 0
-    assert recorder.counters["jobs.resolved"] == default_jobs()
-    assert "jobs.oversubscribed" not in recorder.counters
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    parser = build_parser()
+    assert _jobs(parser.parse_args(["table3", "--jobs", "2"])) == 2
+    assert "--jobs 2 exceeds the 1 detected core(s)" in capsys.readouterr().err
+    assert _jobs(parser.parse_args(["table3", "--jobs", "0"])) == 1
+    assert capsys.readouterr().err == ""
+    assert multiprocessing.active_children() == []
 
 
 def test_negative_jobs_rejected():
@@ -258,14 +252,6 @@ def test_fn_exceptions_reraise_without_retry_by_default():
     _assert_no_orphans()
 
 
-def test_fn_exceptions_retry_when_asked(tmp_path):
-    flag = str(tmp_path / "flag")
-    results = supervised_map(
-        _fail_once, [(flag, 5)], retries=2, backoff=0.01, retry_errors=True,
-    )
-    assert results == [5]
-
-
 def test_sim_faults_keep_taxonomy_through_supervisor():
     """Simulator faults cross the pool boundary as the structured
     taxonomy, pc/backend intact, worker traceback attached — not as a
@@ -316,16 +302,37 @@ def test_parallel_map_keyboard_interrupt_leaves_no_orphans():
     _assert_no_orphans()
 
 
-def test_degrades_to_serial_when_workers_keep_dying():
-    """Every spawned worker dies instantly; after degrade_after
-    consecutive failures the supervisor finishes the run in-process."""
-    recorder = Recorder()
+def test_workers_that_keep_dying_exhaust_the_budget():
+    """Every spawned worker dies instantly; the tasks spend their whole
+    retry budget in workers and fail in-slot — none is ever run in the
+    supervisor, where the same exit would kill the caller."""
     results = supervised_map(
         _worker_only_exit, [(1,), (2,), (3,)], jobs=2,
-        retries=10, backoff=0.01, degrade_after=2, observe=recorder,
+        retries=2, backoff=0.01, on_error="return",
     )
-    assert results == [101, 102, 103]
-    assert recorder.counters["supervised.degraded"] == 1
+    for failure in results:
+        assert isinstance(failure, TaskFailure)
+        assert failure.kind == "WorkerDied"
+        assert failure.attempts == 3
+        assert failure.message.count("after") <= 1
+    _assert_no_orphans()
+
+
+def test_timeouts_hold_after_repeated_timeouts():
+    """Tasks that time out on every attempt stay bounded by their
+    deadline to the end: each attempt is terminated at 0.3 s, never
+    rerun without a deadline."""
+    started = time.monotonic()
+    results = supervised_map(
+        _sleep_s, [(3.0,), (3.0,)], jobs=2, timeout=0.3,
+        retries=2, backoff=0.01, on_error="return",
+    )
+    assert time.monotonic() - started < 2.5
+    for failure in results:
+        assert isinstance(failure, TaskFailure)
+        assert failure.kind == "TaskTimeout"
+        assert failure.attempts == 3
+        assert failure.message.count("after") == 1
     _assert_no_orphans()
 
 
@@ -377,10 +384,10 @@ def test_journal_keys_are_stable():
     assert Journal.key_for((1, "a")) != Journal.key_for((1, "b"))
 
 
-def _mark_and_fail(directory, x):
+def _mark_and_die(directory, x):
     with open(os.path.join(directory, "attempts%d" % x), "a") as handle:
         handle.write("x")
-    raise ValueError("always fails %d" % x)
+    os._exit(3)
 
 
 def _flag_and_sleep(directory, x):
@@ -408,7 +415,8 @@ def test_resumed_inflight_attempt_charged_exactly_once(tmp_path):
     died mid-task) resumes at attempt 2: with ``retries=2`` the resumed
     run invokes fn exactly twice (attempts 2 and 3).  Three invocations
     would mean the interrupted attempt was never charged — an unbounded
-    crash/resume loop; one would mean it was charged twice."""
+    crash/resume loop; one would mean it was charged twice.  The task
+    kills its worker, and the timeout keeps it on the pool leg."""
     journal_path = str(tmp_path / "journal.jsonl")
     arguments = (str(tmp_path), 7)
     journal = Journal(journal_path)
@@ -416,14 +424,16 @@ def test_resumed_inflight_attempt_charged_exactly_once(tmp_path):
     journal.close()
 
     recorder = Recorder()
-    with pytest.raises(ValueError, match="always fails 7"):
+    with pytest.raises(WorkerDied) as excinfo:
         supervised_map(
-            _mark_and_fail, [arguments], retries=2, retry_errors=True,
+            _mark_and_die, [arguments], jobs=2, timeout=30, retries=2,
             backoff=0.01, journal=journal_path, observe=recorder,
         )
+    assert excinfo.value.attempts == 3
     with open(os.path.join(str(tmp_path), "attempts7")) as handle:
         assert handle.read() == "xx"
     assert recorder.counters["supervised.resumed_inflight"] == 1
+    _assert_no_orphans()
 
 
 def test_supervisor_kill_checkpoints_inflight_attempt(tmp_path):
@@ -453,9 +463,9 @@ def test_supervisor_kill_checkpoints_inflight_attempt(tmp_path):
     assert reloaded.started.get(key) == 1
     assert key not in reloaded.completed
 
-    with pytest.raises(ValueError, match="always fails 5"):
+    with pytest.raises(WorkerDied):
         supervised_map(
-            _mark_and_fail, [(directory, 5)], retries=2, retry_errors=True,
+            _mark_and_die, [(directory, 5)], jobs=2, timeout=30, retries=2,
             backoff=0.01, journal=journal_path,
         )
     with open(os.path.join(directory, "attempts5")) as handle:
