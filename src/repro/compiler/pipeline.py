@@ -39,7 +39,6 @@ class CompileOptions:
         strategy=Strategy.CB,
         profile_counts=None,
         interrupt_safe=True,
-        validate=True,
         software_pipelining=False,
         optimize=False,
         unroll_factor=1,
@@ -49,7 +48,6 @@ class CompileOptions:
         self.strategy = strategy
         self.profile_counts = profile_counts
         self.interrupt_safe = interrupt_safe
-        self.validate = validate
         #: Interference-graph partitioner name for the CB-family
         #: strategies (:data:`~repro.partition.registry.PARTITIONERS`).
         self.partitioner = partitioner
@@ -136,9 +134,8 @@ def compile_module(module, options=None, **kwargs):
             observe.counter(
                 "nodes.interned_labels", node_stats["label_entries"]
             )
-        if options.validate:
-            with observe.span("validate"):
-                validate_module(module)
+        with observe.span("validate"):
+            validate_module(module)
 
         with observe.span("allocate") as span:
             allocation = run_allocation(

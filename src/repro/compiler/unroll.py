@@ -8,8 +8,9 @@ then overlaps the copies wherever dependences allow, which raises
 memory-level parallelism across iterations without software pipelining's
 prologue/epilogue restructuring.
 
-Opt-in via ``CompileOptions(unroll_factor=k)``; an accompanying ablation
-benchmark compares it against (and combined with) software pipelining.
+Opt-in via ``CompileOptions(unroll_factor=k)``; its speedup and its
+composition with software pipelining are checked in
+``tests/compiler/test_unroll.py``.
 """
 
 from repro.ir.operations import OpCode, Operation

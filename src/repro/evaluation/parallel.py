@@ -267,8 +267,10 @@ def batch_map(tasks, lanes=64, backend="batch", observe=NULL_RECORDER):
     Results come back in task order as :class:`BatchTaskResult`.  With a
     scalar *backend* name (``interp``/``jit``) the same tasks
     run one simulator per instance instead — bit-identical by the batch
-    backend's contract, which is what the speedup benchmark and the
-    differential tests compare against.
+    backend's contract, which
+    ``tests/evaluation/test_batch_map.py::test_batch_matches_scalar_backends_bit_for_bit``
+    checks and the e2ebench ``lane-sweep`` workload times
+    (``sweep.jit_scalar_s`` against ``sweep.uniform_s``).
 
     A slab stays in lockstep only while its lanes agree; one that
     diverges reruns per lane on scalar ``jit``
@@ -523,6 +525,7 @@ def _run_serial(fn, arguments, pending, results, journal, observe, initial,
             observe.counter("supervised.failed")
             continue
         results[index] = result
+        observe.counter("supervised.completed")
         if journal is not None:
             journal.record(Journal.key_for(arguments[index]), result)
 

@@ -54,8 +54,9 @@ class Strategy(enum.Enum):
     IDEAL = "ideal"
     #: The simple greedy baseline the paper's Section 2 attributes to
     #: Sudarsanam & Malik: allocate variables to alternating banks in
-    #: order, with no interference analysis.  Used by the ablation
-    #: benchmarks to show what the interference graph buys.
+    #: order, with no interference analysis.  What the interference
+    #: graph buys over it is checked by
+    #: ``tests/partition/test_strategies.py::test_cb_never_loses_to_alternation``.
     ALTERNATING = "alternating"
 
     @property

@@ -20,8 +20,9 @@ class StaticDepthWeights:
     per iteration outweighs one that could pair only once.  Without
     accumulation, uniformly-weighted inner-loop graphs (e.g. an FFT
     butterfly) leave the greedy partitioner stuck in zero-gain ties.
-    Set ``accumulate = False`` to study the max-weight variant (the
-    ablation benchmark does exactly that).
+    Set ``accumulate = False`` to study the max-weight variant; the
+    comparison of the two is
+    ``tests/partition/test_weights.py::test_accumulated_weights_never_cut_worse_than_max``.
     """
 
     def __init__(self, accumulate=True):

@@ -77,7 +77,7 @@ def compile_key(fingerprint, options_sig, profile_key=None):
 
 def _pickle_stripped(value):
     """Pickle *value*, temporarily detaching the program-level codegen
-    cache (:attr:`program._codegen_cache` holds compiled closures —
+    cache (:attr:`program._codegen_cache` holds compiled code objects —
     unpicklable, and worthless in another process anyway)."""
     program = getattr(value, "program", None)
     state = getattr(program, "__dict__", None)

@@ -3,12 +3,12 @@
 Fuzz, fault, and sweep campaigns run thousands of *near-identical*
 simulations: the same compiled program over different input data.  The
 scalar backends pay full price per instance — simulator construction,
-closure binding, and one Python dispatch per instruction per instance.
+code binding, and one Python dispatch per instruction per instance.
 This backend executes N instances ("lanes") of the same program in
 lockstep with structure-of-arrays state: every memory cell and register
 slot holds either a plain Python scalar (all lanes agree — the common
 case) or a NumPy array of shape ``[N]`` holding one value per lane.
-One generated step closure then executes each instruction once for all
+One generated step function then executes each instruction once for all
 lanes, turning per-lane arithmetic into array operations the way
 :mod:`repro.sim.loopjit` turns per-cycle dispatch into native loops.
 
@@ -60,12 +60,7 @@ import numpy as np
 from repro.ir.operations import OpCode
 from repro.ir.symbols import MemoryBank
 from repro.ir.types import RegClass
-from repro.sim.fastsim import (
-    FastSimulator,
-    _BINARY_EXPR,
-    _FIXED_PARAMS,
-    _UNARY_EXPR,
-)
+from repro.sim.fastsim import FastSimulator, _BINARY_EXPR, _UNARY_EXPR
 from repro.sim.loopjit import LoopJitSimulator
 from repro.sim.simulator import SimulationError, Simulator, _BANK_X, _BANK_Y
 
@@ -202,7 +197,8 @@ def _vfsqrt(a):
     return np.array(values, dtype=np.float64)
 
 
-#: helpers every generated closure can name, bound through ``_FIXED``
+#: helpers every generated function can name, bound through its
+#: environment dict (:meth:`BatchSimulator._env`)
 _HELPERS = {
     "_ND": _ndarray,
     "_ck": _collapse,
@@ -358,10 +354,6 @@ class BatchSimulator(FastSimulator):
 
     _binary_expr, _unary_expr = _batch_tables()
 
-    #: generated closures additionally see the lane helpers (kept in
-    #: lockstep with :meth:`_fixed_args`)
-    _FIXED = "%s, %s" % (_FIXED_PARAMS, ", ".join(_HELPERS))
-
     def __init__(self, program, lanes=1, **kwargs):
         if lanes < 1:
             raise ValueError("lanes must be >= 1, got %d" % lanes)
@@ -380,8 +372,11 @@ class BatchSimulator(FastSimulator):
     # ------------------------------------------------------------------
     # Codegen hooks (see fastsim)
     # ------------------------------------------------------------------
-    def _fixed_args(self):
-        return super()._fixed_args() + tuple(_HELPERS.values())
+    def _env(self):
+        # generated functions additionally see the lane helpers
+        env = super()._env()
+        env.update(_HELPERS)
+        return env
 
     def _guard_uniform(self, name, cb):
         cb.reads.append(

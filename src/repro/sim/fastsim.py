@@ -6,23 +6,29 @@ cycle.  The compiled backends (``jit`` in :mod:`repro.sim.loopjit`,
 ``batch`` in :mod:`repro.sim.batchsim`) instead turn each
 :class:`LongInstruction` into straight-line Python source: operand
 reads, effective-address computation, bounds checks, evaluator
-arithmetic, and commit logic are generated per instruction.  Two tables
-come out of that codegen:
+arithmetic, and commit logic are generated per instruction.
 
-* the per-instruction step table (:meth:`FastSimulator._compile_steps`)
-  is ``exec``-compiled in a single batch of closure factories (bound
-  constants become closure cells) and drives the one *stepped*
-  dispatch loop (:meth:`FastSimulator._run_steps`, one closure call per
-  cycle) that both backends share;
-* jit's superblocks (maximal straight-line runs) are only laid out up
-  front (:meth:`FastSimulator._layout_blocks`); each is generated,
-  compiled and bound on its first dispatch (:meth:`FastSimulator
-  ._block`) as one plain ``def step():`` whose free names resolve
-  through a per-simulator environment dict.  Code a run never
-  dispatches — most of it inside loop regions that jit's loop closures
-  run natively — is never compiled, and a codegen error (such as an
-  unallocated register) surfaces when its block is first dispatched,
-  as the reference interpreter's lazy decode reports it.
+All generated code goes through one compile-and-bind site,
+:meth:`FastSimulator._bind`: source is ``compile()``d once per program
+(the code lives in a cache on the program object) and ``exec``'d per
+simulator into one environment dict that holds the state its bodies
+name (:meth:`FastSimulator._env`) and its bound constants.  The unit of
+code is a straight-line run of instructions ``[first, last]``
+(:meth:`FastSimulator._straight`), one plain ``def step():`` generated
+on its first dispatch:
+
+* jit's superblocks (maximal straight-line runs) are laid out up front
+  (:meth:`FastSimulator._layout_blocks`) and each is such a run from
+  its leader;
+* the one *stepped* dispatch loop both backends share
+  (:meth:`FastSimulator._run_steps`, one call per cycle) runs the
+  one-instruction run ``[pc, pc]`` at each pc, the same cache entry as
+  a one-instruction superblock there.
+
+Code a run never dispatches — most of it inside loop regions that jit's
+loop functions run natively — is never compiled, and a codegen error
+(such as an unallocated register) surfaces when its code is first
+dispatched, as the reference interpreter's lazy decode reports it.
 
 Semantics are bit-identical to the reference interpreter by construction
 and verified by ``tests/sim/test_fastsim_equivalence.py``:
@@ -66,11 +72,6 @@ from repro.sim.simulator import (
 _RFILE = {RegClass.ADDR: "RA", RegClass.INT: "RI", RegClass.FLOAT: "RF"}
 
 _MEM = {_BANK_X: "MX", _BANK_Y: "MY"}
-
-#: parameter list shared by every generated step factory; subclasses
-#: extend :attr:`FastSimulator._FIXED` and :meth:`FastSimulator._fixed_args`
-#: in lockstep to thread extra state into their generated code
-_FIXED_PARAMS = "SIM, RA, RI, RF, MX, MY, SP, LS"
 
 #: opcodes whose evaluators are inlined as expressions (the hot set);
 #: anything absent falls back to calling the bound ``OpInfo.evaluate``.
@@ -165,15 +166,16 @@ def _executed(instruction):
 
 
 class _CodeBuilder:
-    """Accumulates source lines and bound constants for one step closure.
+    """Accumulates source lines and bound constants for one function.
 
-    One builder spans a whole superblock: ``flush()`` seals the current
-    instruction's read-before-write grouping (reads, then control, then
-    writes) into ``lines`` so the next instruction's reads come after this
-    one's writes.  Temp names may be reused across instructions (a temp
-    never carries a value past its own instruction); bound-constant names
-    are unique for the whole block, and *prefix* keeps them unique across
-    blocks that share one environment dict.
+    One builder spans a whole straight-line run: ``flush()`` seals the
+    current instruction's read-before-write grouping (reads, then
+    control, then writes) into ``lines`` so the next instruction's reads
+    come after this one's writes.  Temp names may be reused across
+    instructions (a temp never carries a value past its own
+    instruction); bound-constant names are unique for the whole
+    function, and *prefix* keeps them unique across the functions that
+    share one environment dict.
     """
 
     def __init__(self, prefix="k"):
@@ -182,8 +184,8 @@ class _CodeBuilder:
         self.control = []
         self.writes = []
         self.tail = []
-        self.params = []
-        self.args = []
+        #: bound constants as ``(name, value)`` pairs
+        self.constants = []
         self.counter = 0
         self.prefix = prefix
         #: optional ``"RA[3]" -> "pa3"`` map; when set, register (and
@@ -195,9 +197,8 @@ class _CodeBuilder:
         return "t%d" % self.counter
 
     def const(self, value):
-        name = "%s%d" % (self.prefix, len(self.params))
-        self.params.append(name)
-        self.args.append(value)
+        name = "%s%d" % (self.prefix, len(self.constants))
+        self.constants.append((name, value))
         return name
 
     def flush(self):
@@ -216,8 +217,8 @@ class FastSimulator(Simulator):
 
     Shares the whole :class:`Simulator` state and helper surface
     (``read_global``/``write_global``, call/return bookkeeping, interrupt
-    hooks); subclasses supply ``run()`` on top of the generated step and
-    superblock tables and the shared stepped loop.
+    hooks); subclasses supply ``run()`` on top of the straight-line
+    functions (:meth:`_straight`) and the shared stepped loop.
     """
 
     #: opcode -> expression template tables; class attributes so
@@ -228,19 +229,18 @@ class FastSimulator(Simulator):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        #: per-pc compiled step closure (hook mode; :meth:`_compile_steps`)
+        #: per-pc bound step function of the stepped loop, None until
+        #: that pc's first dispatch (:meth:`_run_steps`)
         self._steps = None
         #: per-leader bound superblock function, None until its first
-        #: dispatch (:meth:`_layout_blocks`, :meth:`_block`)
+        #: dispatch (:meth:`_layout_blocks`, :meth:`_straight`)
         self._blocks = None
-        #: globals of this simulator's superblock functions
-        self._block_env = None
+        #: globals of this simulator's generated functions (:meth:`_bind`)
+        self._bound_env = None
         #: per-leader cycle length of the superblock (0 off a leader)
         self._block_lens = None
         #: leader pc -> [member pcs] of its superblock
         self._block_members = None
-        #: per-pc executed-operation count (for operation accounting)
-        self._op_widths = None
         #: instruction indices that terminate at least one hardware loop
         self._loop_end_pcs = frozenset(
             end for _start, end in self.program.loops.values()
@@ -266,23 +266,6 @@ class FastSimulator(Simulator):
                     leaders.add(pc + 1)
                     break
         return sorted(p for p in leaders if 0 <= p < count)
-
-    #: generated-code parameter list; kept in lockstep with _fixed_args
-    _FIXED = _FIXED_PARAMS
-
-    def _fixed_args(self):
-        """Values bound to :attr:`_FIXED` when closures are instantiated."""
-        registers = self.registers
-        return (
-            self,
-            registers[RegClass.ADDR],
-            registers[RegClass.INT],
-            registers[RegClass.FLOAT],
-            self.memory[_BANK_X],
-            self.memory[_BANK_Y],
-            self.sp,
-            self.loop_stack,
-        )
 
     # ------------------------------------------------------------------
     # Code generation
@@ -543,32 +526,15 @@ class FastSimulator(Simulator):
             cb.writes.append("SIM.locked = %r" % lock_transition)
         return control_op
 
-    def _exec_code(self, code, bindings):
-        """Bind a compiled factory batch to *this* simulator's state.
-
-        One ``compile()`` per table of step factories amortizes the
-        CPython parser/codegen overhead that would otherwise dominate
-        per-instruction compilation; the returned dict maps each key in
-        *bindings* to its bound closure.
-        """
-        namespace = {}
-        exec(code, namespace)
-        fixed_args = self._fixed_args()
-        return {
-            key: namespace["_make_%s" % key](*fixed_args, *args)
-            for key, args in bindings
-        }
-
     def _codegen_cache(self):
-        """Per-program cache of compiled factory batches.
+        """Per-program cache of generated code and layouts.
 
         Generated source depends only on the program (plus, for
         subclasses, constants like ``max_cycles`` that cache keys must
-        include), while the *closures* bind per-simulator state — so
-        the parse/compile work is shared across every simulator of the
-        same program and only the cheap ``exec``/bind step runs per
-        instance.  The cache lives on the program object and is
-        collected with it.
+        include), while the functions bind per-simulator state — so the
+        parse/compile work is shared across every simulator of the same
+        program and only the cheap ``exec`` runs per instance.  The
+        cache lives on the program object and is collected with it.
         """
         cache = getattr(self.program, "_codegen_cache", None)
         if cache is None:
@@ -576,47 +542,57 @@ class FastSimulator(Simulator):
             self.program._codegen_cache = cache
         return cache
 
-    @classmethod
-    def _factory(cls, key, cb):
-        params = cls._FIXED
-        if cb.params:
-            params = "%s, %s" % (params, ", ".join(cb.params))
-        return "def _make_%s(%s):\n    def step():\n%s\n    return step\n" % (
-            key,
-            params,
-            "\n".join("        " + line for line in cb.body()),
-        )
+    def _env(self):
+        """Globals of this simulator's generated functions: the state
+        their bodies name.  Subclasses add their own names."""
+        registers = self.registers
+        return {
+            "SIM": self,
+            "RA": registers[RegClass.ADDR],
+            "RI": registers[RegClass.INT],
+            "RF": registers[RegClass.FLOAT],
+            "MX": self.memory[_BANK_X],
+            "MY": self.memory[_BANK_Y],
+            "SP": self.sp,
+            "LS": self.loop_stack,
+        }
 
-    def _compile_steps(self):
-        """Per-instruction step table (the stepped loop's: hooked jit
-        runs and batch lockstep)."""
+    def _bind(self, key, generate):
+        """Compile generated code once per program, bind it per simulator.
+
+        On a cache miss *generate* returns ``(source, constants, extra)``:
+        module source defining functions, the ``(name, value)`` constants
+        its bodies name, and any per-program data the caller needs back.
+        The source is compiled once under *key*; every simulator
+        ``exec``s it into its own environment dict (:meth:`_env` plus the
+        constants of everything it has bound; a constant name two entries
+        share always names the same value).  Returns the namespace of
+        defined functions and *extra*.
+        """
         cache = self._codegen_cache()
-        key = (type(self).__qualname__, "steps")
         entry = cache.get(key)
         if entry is None:
-            pieces = []
-            bindings = []
-            for pc in range(len(self.program.instructions)):
-                cb = _CodeBuilder()
-                control_op = self._instruction_body(pc, cb)
-                if control_op is not None:
-                    self._emit_control(control_op, pc, cb)
-                else:
-                    self._emit_fallthrough(pc, cb)
-                pieces.append(self._factory(pc, cb))
-                bindings.append((pc, cb.args))
-            code = compile("\n".join(pieces), "<fastsim>", "exec")
-            entry = (code, bindings, self._widths())
+            source, constants, extra = generate()
+            entry = (compile(source, "<fastsim>", "exec"), constants, extra)
             cache[key] = entry
-        code, bindings, widths = entry
-        self._op_widths = list(widths)
-        closures = self._exec_code(code, bindings)
-        self._steps = [closures[pc] for pc in range(len(closures))]
+        code, constants, extra = entry
+        env = self._bound_env
+        if env is None:
+            env = self._bound_env = self._env()
+        env.update(constants)
+        namespace = {}
+        exec(code, env, namespace)
+        return namespace, extra
 
     def _widths(self):
-        """Per-pc executed-operation counts (every pc, including those
-        only loop closures run)."""
-        return tuple(len(_executed(i)) for i in self.program.instructions)
+        """Per-pc executed-operation counts, computed once per program."""
+        cache = self._codegen_cache()
+        widths = cache.get("widths")
+        if widths is None:
+            widths = cache["widths"] = tuple(
+                len(_executed(i)) for i in self.program.instructions
+            )
+        return widths
 
     def _layout_blocks(self):
         """Superblock layout: maximal straight-line instruction runs, each
@@ -626,8 +602,8 @@ class FastSimulator(Simulator):
         counts for the interior follow from the leader's count, so the
         dispatch loop does one call, one count increment, and one cycle
         check per *block* instead of per cycle.  Only the layout (block
-        lengths, members, per-pc operation widths) is built here; a
-        block's code is generated on its first dispatch (:meth:`_block`).
+        lengths and members) is built here; a block's code is generated
+        on its first dispatch (:meth:`_straight`).
         """
         cache = self._codegen_cache()
         key = (type(self).__qualname__, "layout")
@@ -640,29 +616,29 @@ class FastSimulator(Simulator):
             for leader, bound in zip(leaders, leaders[1:] + [count]):
                 lens[leader] = bound - leader
                 members[leader] = tuple(range(leader, bound))
-            entry = (tuple(lens), members, self._widths())
+            entry = (tuple(lens), members)
             cache[key] = entry
-        lens, members, widths = entry
-        self._op_widths = list(widths)
+        lens, members = entry
         self._blocks = [None] * len(lens)
         self._block_lens = lens
         self._block_members = members
 
-    def _block(self, leader):
-        """The superblock function at *leader*, compiled on first use.
+    def _straight(self, first, last):
+        """The straight-line function over pcs ``[first, last]``.
 
-        Its code is shared through the program's codegen cache; its free
-        names (:attr:`_FIXED` and the block's bound constants) resolve in
-        this simulator's environment dict, so binding is one ``exec``.
+        A superblock is such a run from its leader; a stepped-loop step
+        is the one-instruction run ``[pc, pc]``, so a step and a
+        one-instruction superblock share one cache entry.  Constants are
+        named ``k<first>_<n>``: a step and the superblock starting at its
+        pc give instruction *first*'s constants the same names and values
+        (only a run's last instruction carries a control operation, and
+        its constants come last).
         """
-        cache = self._codegen_cache()
-        key = (type(self).__qualname__, leader)
-        entry = cache.get(key)
-        if entry is None:
-            cb = _CodeBuilder("k%d_" % leader)
-            last = leader + self._block_lens[leader] - 1
-            for pc in range(leader, last + 1):
-                if pc > leader:
+
+        def generate():
+            cb = _CodeBuilder("k%d_" % first)
+            for pc in range(first, last + 1):
+                if pc > first:
                     cb.flush()
                 control_op = self._instruction_body(pc, cb)
             if control_op is not None:
@@ -672,39 +648,28 @@ class FastSimulator(Simulator):
             source = "def step():\n%s\n" % "\n".join(
                 "    " + line for line in cb.body()
             )
-            entry = (
-                compile(source, "<fastsim>", "exec"),
-                tuple(zip(cb.params, cb.args)),
-            )
-            cache[key] = entry
-        code, constants = entry
-        env = self._block_env
-        if env is None:
-            env = self._block_env = dict(
-                zip(self._FIXED.split(", "), self._fixed_args())
-            )
-        env.update(constants)
-        namespace = {}
-        exec(code, env, namespace)
-        step = self._blocks[leader] = namespace["step"]
-        return step
+            return source, tuple(cb.constants), None
+
+        key = (type(self).__qualname__, first, last)
+        return self._bind(key, generate)[0]["step"]
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def _run_steps(self, hook=None):
-        """The stepped loop: one step closure per cycle, until HALT.
+        """The stepped loop: one step function per cycle, until HALT.
 
         *hook* (if any) is called after every cycle outside a store-lock
         window, exactly as the reference interpreter delivers it, and
         may redirect ``pc``.  A :class:`SimulationError` settles the
         state and propagates; any other exception propagates unsettled,
-        as from the interpreter.
+        as from the interpreter.  A pc's step is generated on its first
+        dispatch, before that cycle counts, as the interpreter decodes.
         """
-        if self._steps is None:
-            self._compile_steps()
-        self._enter_main()
         count = len(self.program.instructions)
+        if self._steps is None:
+            self._steps = [None] * count
+        self._enter_main()
         pc_counts = self.pc_counts
         max_cycles = self.max_cycles
         steps = self._steps
@@ -714,6 +679,9 @@ class FastSimulator(Simulator):
             while True:
                 if pc < 0 or pc >= count:
                     raise SimulationError("pc %d out of range" % pc)
+                step = steps[pc]
+                if step is None:
+                    step = steps[pc] = self._straight(pc, pc)
                 pc_counts[pc] += 1
                 cycle += 1
                 self.cycle = cycle
@@ -722,7 +690,7 @@ class FastSimulator(Simulator):
                         "exceeded max_cycles=%d" % max_cycles
                     )
                 self.pc = pc
-                next_pc = steps[pc]()
+                next_pc = step()
                 if next_pc is None:
                     break
                 pc = next_pc
@@ -768,7 +736,7 @@ class FastSimulator(Simulator):
                 if executed:
                     for pc in members[1:]:
                         pc_counts[pc] = executed
-        widths = self._op_widths
+        widths = self._widths()
         self.op_count = sum(
             executed * widths[index]
             for index, executed in enumerate(pc_counts)

@@ -7,7 +7,8 @@ loop on every zero-overhead hardware-loop back-edge, so the hottest
 cycles of the paper's loop-dominated DSP kernels are the most expensive
 to simulate.  This backend generates Python source per hardware-loop
 *region*: an entire loop nest executes as native ``for`` loops over the
-armed trip count, with
+armed trip count, inside one ``def loop_<start>():`` function bound
+through the shared :meth:`~repro.sim.fastsim.FastSimulator._bind`, with
 
 * **register promotion** — every register slot (and stack pointer) the
   nest touches becomes a Python local, loaded once at loop entry and
@@ -34,7 +35,7 @@ override the loop back-edge, and loop-final instructions keep their
 back-edge-vs-taken-branch semantics — because unspecializable shapes
 never reach the generated loop bodies.
 
-A run with an interrupt hook never enters a loop closure: it takes the
+A run with an interrupt hook never enters a loop function: it takes the
 inherited per-cycle stepped loop (:meth:`FastSimulator._run_steps`), so
 the hook sees every cycle the reference interpreter delivers, may read
 and write any state, and may redirect ``pc`` — inside a hardware loop
@@ -55,7 +56,7 @@ verify.
 import re
 
 from repro.ir.operations import OpCode
-from repro.sim.fastsim import FastSimulator, _CodeBuilder, _FIXED_PARAMS
+from repro.sim.fastsim import FastSimulator, _CodeBuilder
 from repro.sim.simulator import CycleLimitError, SimulationError
 
 #: register / stack-pointer references in generated code, for promotion
@@ -87,8 +88,8 @@ class LoopJitSimulator(FastSimulator):
 
     * no hook — the fused loop: superblocks plus a loop-entry overlay;
       when it reaches a compiled loop's start pc with that loop's
-      record armed on top of the stack, one closure call consumes every
-      remaining iteration;
+      record armed on top of the stack, one loop-function call consumes
+      every remaining iteration;
     * any hook — the inherited stepped loop
       (:meth:`FastSimulator._run_steps`), which calls the hook after
       every cycle.
@@ -96,25 +97,26 @@ class LoopJitSimulator(FastSimulator):
 
     backend_name = "jit"
 
-    #: generated closures additionally see the pc-count table and the
-    #: shared cycle cell (kept in lockstep with :meth:`_fixed_args`)
-    _FIXED = _FIXED_PARAMS + ", PCC, CY"
-
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        #: pc -> loop closure (hook-free mode), parallel end-pc table
+        #: pc -> loop function (hook-free mode), parallel end-pc table
         self._entries = None
         self._entry_ends = None
         self._nest_cache = None
         #: one-element list holding the running cycle count, shared by
-        #: the fused loop and the loop closures
+        #: the fused loop and the loop functions
         self._cycle_cell = [0]
         #: pc -> register refs ("RA[3]", "SP[0]", ...) that pc touches;
         #: shared by every promotion map built for this simulator
         self._ref_cache = {}
 
-    def _fixed_args(self):
-        return super()._fixed_args() + (self.pc_counts, self._cycle_cell)
+    def _env(self):
+        # generated functions additionally see the pc-count table and
+        # the shared cycle cell
+        env = super()._env()
+        env["PCC"] = self.pc_counts
+        env["CY"] = self._cycle_cell
+        return env
 
     # ------------------------------------------------------------------
     # Specializability analysis
@@ -174,7 +176,7 @@ class LoopJitSimulator(FastSimulator):
         unspecializable the inner loop still specializes the moment its
         own record tops the stack.  (Entry emission filters this dict
         down to top-level nests — inner bodies are inlined into the
-        enclosing closure.)
+        enclosing function.)
         """
         if self._nest_cache is None:
             regions = self._unique_regions()
@@ -328,10 +330,10 @@ class LoopJitSimulator(FastSimulator):
         out.append(pad + "    SIM._jit_max_cycles()")
 
     def _nest_builder(self, nest):
-        """Builder for the hook-free loop closure of one nest: run every
+        """Builder for the hook-free loop function of one nest: run every
         remaining iteration of the armed record, pop it, return the
         loop-exit pc."""
-        cb = _CodeBuilder()
+        cb = _CodeBuilder("L%d_" % nest.start)
         cb.promoted = self._promotion_map(nest.start, nest.end)
         levels = []
         self._collect_levels(nest, levels)
@@ -356,48 +358,44 @@ class LoopJitSimulator(FastSimulator):
         out.append("return %d" % (nest.end + 1))
         return cb
 
-    def _compile_loops(self):
-        count = len(self.program.instructions)
-        cache = self._codegen_cache()
-        # max_cycles is baked into the generated clamps, so it keys the
-        # cached batch alongside the program itself.
-        cache_key = (type(self).__qualname__, "loops", self.max_cycles)
-        entry = cache.get(cache_key)
-        if entry is None:
-            keys = [None] * count
-            ends = [0] * count
-            pieces = []
-            bindings = []
-            nests = self._nests()
-            inlined = set()
-            for nest in nests.values():
-                stack = list(nest.children)
-                while stack:
-                    child = stack.pop()
-                    inlined.add(child.start)
-                    stack.extend(child.children)
-            for start, nest in nests.items():
-                if start in inlined:
-                    # Consumed natively by an enclosing entry; a jump
-                    # straight into that region (never emitted by the
-                    # compiler) falls back to fused-superblock speed.
-                    continue
-                key = "loop_%d" % start
-                cb = self._nest_builder(nest)
-                pieces.append(self._factory(key, cb))
-                bindings.append((key, cb.args))
-                keys[start] = key
-                ends[start] = nest.end
-            code = (
-                compile("\n".join(pieces), "<loopjit>", "exec")
-                if pieces
-                else None
+    def _loops_source(self):
+        """One ``def loop_<start>():`` per top-level nest, and the
+        per-pc end table of the loops they run."""
+        ends = [0] * len(self.program.instructions)
+        pieces = []
+        constants = []
+        nests = self._nests()
+        inlined = set()
+        for nest in nests.values():
+            stack = list(nest.children)
+            while stack:
+                child = stack.pop()
+                inlined.add(child.start)
+                stack.extend(child.children)
+        for start, nest in nests.items():
+            if start in inlined:
+                # Consumed natively by an enclosing entry; a jump
+                # straight into that region (never emitted by the
+                # compiler) falls back to fused-superblock speed.
+                continue
+            cb = self._nest_builder(nest)
+            pieces.append(
+                "def loop_%d():\n%s\n"
+                % (start, "\n".join("    " + line for line in cb.body()))
             )
-            entry = (code, bindings, tuple(keys), tuple(ends))
-            cache[cache_key] = entry
-        code, bindings, keys, ends = entry
-        closures = self._exec_code(code, bindings) if code is not None else {}
-        self._entries = [closures[k] if k is not None else None for k in keys]
+            constants.extend(cb.constants)
+            ends[start] = nest.end
+        return "\n".join(pieces), tuple(constants), tuple(ends)
+
+    def _compile_loops(self):
+        # max_cycles is baked into the generated clamps, so it keys the
+        # cached code alongside the program itself.
+        key = (type(self).__qualname__, "loops", self.max_cycles)
+        namespace, ends = self._bind(key, self._loops_source)
+        entries = [None] * len(ends)
+        for name, loop in namespace.items():
+            entries[int(name[len("loop_"):])] = loop
+        self._entries = entries
         self._entry_ends = ends
 
     # ------------------------------------------------------------------
@@ -447,7 +445,7 @@ class LoopJitSimulator(FastSimulator):
                 if step is None:
                     if not lens[pc]:
                         raise SimulationError("pc %d out of range" % pc)
-                    step = self._block(pc)
+                    step = blocks[pc] = self._straight(pc, pc + lens[pc] - 1)
                 cell[0] += lens[pc]
                 if cell[0] > max_cycles:
                     raise CycleLimitError(

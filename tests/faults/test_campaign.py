@@ -10,6 +10,7 @@ from repro.faults.campaign import (
 )
 from repro.faults.experiment import OUTCOMES
 from repro.faults.report import render_resilience
+from repro.obs.core import Recorder
 
 
 def test_campaign_workloads_include_autocorr():
@@ -59,6 +60,15 @@ def test_dup_detection_beats_baseline_masking_on_autocorr():
     assert dup["detection_rate"] > 0.0
     assert dup["coverage"] >= entries["SINGLE_BANK"]["masked_rate"]
     assert dup["coverage"] >= entries["CB"]["masked_rate"]
+
+
+def test_serial_campaign_counts_every_completed_task():
+    """The serial leg counts ``supervised.completed`` once per task, as
+    the pool leg does, so the counters read the same on either leg."""
+    report = fault_campaign(runs=2, observe=Recorder())
+    counters = report["obs"]["spans"][0]["counters"]
+    assert counters["supervised.tasks"] > 0
+    assert counters["supervised.completed"] == counters["supervised.tasks"]
 
 
 def test_run_task_row_is_json_able():

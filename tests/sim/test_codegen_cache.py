@@ -7,7 +7,9 @@ that changes the *generated source*: backend class and ``max_cycles``
 (baked into the jit's cycle clamps); bounds checks are always emitted.
 A simulator must also never reuse closures bound to another instance's
 interrupt hook (fault plans and injectors are stateful), no matter what
-a previous run cached on the program.
+a previous run cached on the program.  Code is generated only for the
+pcs a run dispatches, and a stepped-loop step at a pc is the same cache
+entry as a one-instruction superblock there.
 """
 
 import pytest
@@ -97,3 +99,70 @@ def test_max_cycles_keys_the_shared_cache():
     # the roomy closures must still be intact after the starved compile
     again = make_simulator(compiled.program, backend="jit", max_cycles=10**6)
     assert again.run().cycles == expected
+
+
+def _uncalled_module():
+    """`unused` is compiled into the program but never called."""
+    pb = ProgramBuilder("t")
+    out = pb.global_scalar("out", float)
+    with pb.function("unused", params=[("x", float)], returns=float) as f:
+        f.ret(f.param("x") * 2.0)
+    with pb.function("main") as f:
+        with f.loop(3):
+            f.assign(out[0], out[0] + 1.0)
+    return pb.build()
+
+
+def _straight_keys(program, sim):
+    """``(first, last)`` of every straight-line function cached for
+    *sim*'s class."""
+    owner = type(sim).__qualname__
+    return {
+        key[1:]
+        for key in program._codegen_cache
+        if isinstance(key, tuple) and key[0] == owner
+        and isinstance(key[1], int)
+    }
+
+
+@pytest.mark.parametrize("backend", ["jit", "batch"])
+def test_steps_compile_only_for_dispatched_pcs(backend):
+    """The stepped loop (a hooked jit run, a batch lockstep run)
+    generates a pc's step on its first dispatch: an uncalled function
+    gets no step and no cache entry."""
+    compiled = compile_module(_uncalled_module(), strategy=Strategy.CB)
+    program = compiled.program
+    reference = Simulator(program).run()
+    unused = program.function_entries["unused"]
+    dead = [pc for pc, n in enumerate(reference.pc_counts) if n == 0]
+    assert unused in dead
+    hook = (lambda sim, cycle: None) if backend == "jit" else None
+    sim = make_simulator(program, backend=backend, interrupt_hook=hook)
+    result = sim.run()
+    assert result.pc_counts == reference.pc_counts
+    for pc, executed in enumerate(reference.pc_counts):
+        assert (sim._steps[pc] is not None) == bool(executed), pc
+    assert _straight_keys(program, sim) == {
+        (pc, pc) for pc, n in enumerate(reference.pc_counts) if n
+    }
+
+
+def test_step_and_one_instruction_superblock_share_an_entry():
+    compiled = compile_module(_uncalled_module(), strategy=Strategy.CB)
+    program = compiled.program
+    fused = make_simulator(program, backend="jit")
+    fused.run()
+    hooked = make_simulator(
+        program, backend="jit", interrupt_hook=lambda sim, cycle: None
+    )
+    hooked.run()
+    shared = [
+        pc
+        for pc, block in enumerate(fused._blocks)
+        if block is not None and fused._block_lens[pc] == 1
+    ]
+    assert shared
+    keys = _straight_keys(program, fused)
+    for pc in shared:
+        assert hooked._steps[pc].__code__ is fused._blocks[pc].__code__
+        assert [key for key in keys if key[0] == pc] == [(pc, pc)]

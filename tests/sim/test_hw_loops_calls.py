@@ -121,14 +121,18 @@ def test_ret_in_main_is_a_fault():
     out = pb.global_scalar("out", int)
     with pb.function("main") as f:
         f.assign(out[0], 1)
-    module = pb.build()
-    # Replace HALT with RET (skipping validation to reach the machine).
-    module.main.blocks[-1].ops[-1] = Operation(OpCode.RET)
-    from repro.compiler import CompileOptions
-
-    compiled = compile_module(
-        module, CompileOptions(strategy=Strategy.SINGLE_BANK, validate=False)
-    )
+    compiled = compile_module(pb.build(), strategy=Strategy.SINGLE_BANK)
+    # Replace HALT with RET in the compiled program: the IR validator
+    # rejects a RET in main, so the fault is reachable only below it.
+    halts = [
+        (instruction, unit)
+        for instruction in compiled.program.instructions
+        for unit, op in instruction.slots.items()
+        if op.opcode is OpCode.HALT
+    ]
+    assert len(halts) == 1
+    instruction, unit = halts[0]
+    instruction.slots[unit] = Operation(OpCode.RET)
     sim = Simulator(compiled.program)
     with pytest.raises(SimulationError, match="empty call stack"):
         sim.run()
