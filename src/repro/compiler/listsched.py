@@ -77,22 +77,24 @@ def run_list_schedule(graph, policy):
     """
     candidates = schedulable_indices(graph)
     priorities = graph.priorities()
-    scheduled = set()
     remaining = set(candidates)
     rounds = 0
-    hard_preds = {index: graph.hard_preds(index) for index in candidates}
-
-    def ready(index):
-        # Flow/output predecessors must sit in strictly earlier
-        # instructions; ops placed in the current instruction are still in
-        # `remaining`, so they correctly block their hard successors.
-        for pred in hard_preds[index]:
-            if pred in remaining:
-                return False
-        return True
+    # Flow/output predecessors must sit in strictly earlier instructions:
+    # an op is data-ready once every hard predecessor among the
+    # candidates has left `remaining`, which happens only when a round
+    # closes, so ops placed in the current instruction still block their
+    # hard successors.
+    pending = dict.fromkeys(candidates, 0)
+    hard_succs = {index: [] for index in candidates}
+    for index in candidates:
+        for pred in graph.hard_preds(index):
+            if pred in pending:
+                pending[index] += 1
+                hard_succs[pred].append(index)
+    data_ready = {index for index, count in pending.items() if not count}
 
     def anti_ok(index, in_current):
-        for pred, kinds in graph.preds[index].items():
+        for pred in graph.preds[index]:
             if pred in remaining and pred not in in_current:
                 return False
         return True
@@ -105,19 +107,16 @@ def run_list_schedule(graph, policy):
         first_mem = None
         blocked_reported = set()
 
-        # Data-ready set: flow/output predecessors all in earlier
-        # instructions; sorted by priority (descendants), ties by
-        # program order for determinism.
-        drs = [i for i in remaining if ready(i)]
-        drs.sort(key=lambda i: (-priorities[i], i))
+        # Data-ready set, sorted by priority (descendants), ties by
+        # program order for determinism.  Readiness changes only when a
+        # round closes, so it already holds every op that can join this
+        # instruction; passes repeat over it while they place ops, which
+        # admits the anti-dependent followers of ops placed earlier.
+        drs = sorted(data_ready, key=lambda i: (-priorities[i], i))
         if not drs:
             raise RuntimeError("list scheduler made no progress (cyclic graph?)")
 
-        # Two passes: the DRS proper, then the anti-extension — operations
-        # whose only outstanding predecessors are anti-dependences on
-        # operations placed in this very instruction.
         progress = True
-        considered = set(drs)
         while progress:
             progress = False
             for index in drs:
@@ -139,28 +138,18 @@ def run_list_schedule(graph, policy):
                 ):
                     blocked_reported.add(index)
                     policy.memory_blocked(index, op, first_mem[0], first_mem[1])
-            if progress:
-                # Recompute the extension: anti-only followers of ops just
-                # placed become eligible for this same instruction.
-                extension = [
-                    i
-                    for i in remaining
-                    if i not in considered
-                    and i not in in_current
-                    and ready(i)
-                    and anti_ok(i, in_current)
-                ]
-                if extension:
-                    extension.sort(key=lambda i: (-priorities[i], i))
-                    drs = drs + extension
-                    considered.update(extension)
 
         if not in_current:
             raise RuntimeError(
                 "list scheduler stalled with %d ops remaining" % len(remaining)
             )
         remaining -= in_current
-        scheduled |= in_current
+        data_ready -= in_current
+        for index in in_current:
+            for succ in hard_succs[index]:
+                pending[succ] -= 1
+                if not pending[succ]:
+                    data_ready.add(succ)
         policy.end_round(placed)
 
     return rounds

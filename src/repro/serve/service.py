@@ -71,6 +71,7 @@ from repro.evaluation.parallel import Journal, TaskFailure
 from repro.obs.core import NULL_RECORDER, Recorder
 from repro.serve import protocol
 from repro.serve.jobs import execute_group, job_compile_key, lighten_group
+from repro.sim import codegen_stats
 
 
 def job_key(job):
@@ -489,6 +490,7 @@ class SimService:
         counters["breakers_open"] = sum(
             1 for b in self._breakers.values() if b.state != "closed"
         )
+        counters.update(codegen_stats())
         return {"event": "stats", "counters": counters}
 
     # -- terminal delivery ---------------------------------------------

@@ -21,6 +21,7 @@ from repro.sim.errors import (
     SimError,
     classify_fault,
 )
+from repro.sim.fastsim import codegen_stats
 from repro.sim.loopjit import LoopJitSimulator
 from repro.sim.batchsim import BatchSimulator, LaneOutcome
 from repro.sim.tracing import collect_block_counts
@@ -76,6 +77,7 @@ __all__ = [
     "Simulator",
     "UtilizationReport",
     "classify_fault",
+    "codegen_stats",
     "collect_block_counts",
     "make_simulator",
     "utilization",

@@ -9,10 +9,13 @@ reads, effective-address computation, bounds checks, evaluator
 arithmetic, and commit logic are generated per instruction.
 
 All generated code goes through one compile-and-bind site,
-:meth:`FastSimulator._bind`: source is ``compile()``d once per program
-(the code lives in a cache on the program object) and ``exec``'d per
-simulator into one environment dict that holds the state its bodies
-name (:meth:`FastSimulator._env`) and its bound constants.  The unit of
+:meth:`FastSimulator._bind`: source is generated once per program (its
+code, constants and layouts are cached on the program object),
+``compile()``d once per process (a bounded memo keyed by the
+source text shares one code object across every program that generates
+the same source, :func:`_compiled`), and ``exec``'d per simulator into
+one environment dict that holds the state its bodies name
+(:meth:`FastSimulator._env`) and its bound constants.  The unit of
 code is a straight-line run of instructions ``[first, last]``
 (:meth:`FastSimulator._straight`), one plain ``def step():`` generated
 on its first dispatch:
@@ -149,6 +152,49 @@ _PURE = frozenset((
     OpCode.ACMPEQ, OpCode.ACMPNE, OpCode.ACMPLT, OpCode.ACMPLE,
     OpCode.ACMPGT, OpCode.ACMPGE, OpCode.MOVIA, OpCode.MOVAI,
 ))
+
+
+#: most sources the process-wide code memo keeps (:func:`_compiled`); a
+#: figure7 + figure8 + table3 pass generates 781 distinct ones
+_CODE_MEMO_CAP = 1024
+
+#: generated source -> its code object, oldest first
+_code_memo = {}
+
+#: memo lookups answered by (hits) and added to (misses) :data:`_code_memo`
+_memo_counts = {"hits": 0, "misses": 0}
+
+
+def _compiled(source):
+    """The code object of generated *source*, compiled once per process.
+
+    Code objects are immutable, and every constant binds through the
+    simulator's environment dict rather than the source text, so all
+    programs that generate one source can share its code.  The memo holds
+    at most :data:`_CODE_MEMO_CAP` sources and evicts the oldest first,
+    which bounds it in a long-lived ``repro serve`` process.
+    """
+    code = _code_memo.get(source)
+    if code is not None:
+        _memo_counts["hits"] += 1
+        return code
+    _memo_counts["misses"] += 1
+    code = compile(source, "<fastsim>", "exec")
+    if len(_code_memo) >= _CODE_MEMO_CAP:
+        del _code_memo[next(iter(_code_memo))]
+    _code_memo[source] = code
+    return code
+
+
+def codegen_stats():
+    """This process's code-memo counters: lookups it answered
+    (``sim.codegen_hits``), sources it compiled (``sim.codegen_misses``)
+    and sources it holds (``sim.codegen_entries``)."""
+    return {
+        "sim.codegen_hits": _memo_counts["hits"],
+        "sim.codegen_misses": _memo_counts["misses"],
+        "sim.codegen_entries": len(_code_memo),
+    }
 
 
 def _slot(register):
@@ -531,9 +577,11 @@ class FastSimulator(Simulator):
 
         Generated source depends only on the program (plus, for
         subclasses, constants like ``max_cycles`` that cache keys must
-        include), while the functions bind per-simulator state — so the
-        parse/compile work is shared across every simulator of the same
-        program and only the cheap ``exec`` runs per instance.  The
+        include), while the functions bind per-simulator state — so
+        source generation and layout are shared across every simulator
+        of the same program and only the cheap ``exec`` runs per
+        instance.  The code objects come from the process-wide memo
+        (:func:`_compiled`), shared across programs by source.  The
         cache lives on the program object and is collected with it.
         """
         cache = getattr(self.program, "_codegen_cache", None)
@@ -558,12 +606,13 @@ class FastSimulator(Simulator):
         }
 
     def _bind(self, key, generate):
-        """Compile generated code once per program, bind it per simulator.
+        """Generate code once per program, bind it per simulator.
 
         On a cache miss *generate* returns ``(source, constants, extra)``:
         module source defining functions, the ``(name, value)`` constants
         its bodies name, and any per-program data the caller needs back.
-        The source is compiled once under *key*; every simulator
+        The source is generated once per program under *key* and
+        compiled once per process (:func:`_compiled`); every simulator
         ``exec``s it into its own environment dict (:meth:`_env` plus the
         constants of everything it has bound; a constant name two entries
         share always names the same value).  Returns the namespace of
@@ -573,7 +622,7 @@ class FastSimulator(Simulator):
         entry = cache.get(key)
         if entry is None:
             source, constants, extra = generate()
-            entry = (compile(source, "<fastsim>", "exec"), constants, extra)
+            entry = (_compiled(source), constants, extra)
             cache[key] = entry
         code, constants, extra = entry
         env = self._bound_env

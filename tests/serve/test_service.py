@@ -11,6 +11,7 @@ import sys
 from repro.serve.client import ServeClient
 from repro.serve.jobs import execute_job, job_compile_key
 from repro.serve.service import SimService
+from repro.sim import codegen_stats
 
 
 def _direct(job, cache_dir=None):
@@ -232,6 +233,24 @@ def test_stats_counters_reflect_traffic(tmp_path):
     assert stats["serve.protocol_errors"] == 1
     assert stats["serve.connections"] == 1
     assert stats["queue_depth"] == 0
+
+
+def test_stats_carry_the_code_memo_counters(tmp_path):
+    """A jit job binds its code through this process's memo, so the
+    memo counters in the stats reply move past their earlier reading."""
+    before = codegen_stats()
+
+    def body(_service, host, port):
+        with ServeClient(host, port) as client:
+            client.run_jobs([
+                {"kind": "run", "workload": "fir_32_1", "backend": "jit"},
+            ])
+            return client.stats()
+
+    stats = _with_service(body, cache_dir=str(tmp_path))
+    lookups = stats["sim.codegen_hits"] + stats["sim.codegen_misses"]
+    assert lookups > before["sim.codegen_hits"] + before["sim.codegen_misses"]
+    assert 0 < stats["sim.codegen_entries"] <= stats["sim.codegen_misses"]
 
 
 # ---------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Regressions for the per-program codegen cache key.
+"""Regressions for the per-program codegen cache key and the
+process-wide code memo.
 
-The compiled backends store generated closures in a cache that lives on
+The compiled backends store generated code in a cache that lives on
 the shared program object, so two simulators over the same program can
-skip recompilation.  The cache key must therefore capture everything
+skip source generation.  The code objects themselves come from a
+bounded memo keyed by source text, so programs that generate the same
+source share one code object.  The cache key must therefore capture everything
 that changes the *generated source*: backend class and ``max_cycles``
 (baked into the jit's cycle clamps); bounds checks are always emitted.
 A simulator must also never reuse closures bound to another instance's
@@ -12,14 +15,18 @@ pcs a run dispatches, and a stepped-loop step at a pc is the same cache
 entry as a one-instruction superblock there.
 """
 
+import types
+
 import pytest
 
 from repro.compiler import compile_module
 from repro.frontend import ProgramBuilder
 from repro.partition.strategies import Strategy
-from repro.sim import make_simulator
+from repro.serve.store import ArtifactStore
+from repro.sim import codegen_stats, fastsim, make_simulator
 from repro.sim.interrupts import InterruptInjector
 from repro.sim.simulator import SimulationError, Simulator
+from repro.workloads.registry import get_workload
 
 
 def _oob_module():
@@ -166,3 +173,120 @@ def test_step_and_one_instruction_superblock_share_an_entry():
     for pc in shared:
         assert hooked._steps[pc].__code__ is fused._blocks[pc].__code__
         assert [key for key in keys if key[0] == pc] == [(pc, pc)]
+
+
+# ---------------------------------------------------------------------
+# The process-wide source -> code memo
+# ---------------------------------------------------------------------
+def _run(program, backend="jit"):
+    """Run *program*; return the simulator and its observable outcome."""
+    sim = make_simulator(program, backend=backend)
+    result = sim.run()
+    return sim, (
+        result.cycles, result.operations, result.pc_counts,
+        sim.read_global("out"),
+    )
+
+
+def _code_entries(program):
+    """How many code objects *program*'s codegen cache holds."""
+    return sum(
+        1 for entry in program._codegen_cache.values()
+        if isinstance(entry, tuple) and entry
+        and isinstance(entry[0], types.CodeType)
+    )
+
+
+def _memo_delta(before):
+    after = codegen_stats()
+    return {name: after[name] - before[name] for name in before}
+
+
+def test_programs_of_one_workload_share_code_objects():
+    workload = get_workload("fir_32_1")
+    first = compile_module(workload.build(), strategy=Strategy.CB).program
+    second = compile_module(workload.build(), strategy=Strategy.CB).program
+    assert first is not second
+    fused = make_simulator(first, backend="jit")
+    fused.run()
+    before = codegen_stats()
+    again = make_simulator(second, backend="jit")
+    again.run()
+    delta = _memo_delta(before)
+    assert delta["sim.codegen_misses"] == 0
+    assert delta["sim.codegen_hits"] == _code_entries(second) > 0
+    shared = [pc for pc, block in enumerate(fused._blocks) if block]
+    assert shared
+    for pc in shared:
+        assert again._blocks[pc].__code__ is fused._blocks[pc].__code__
+    for start, loop in enumerate(fused._entries):
+        if loop is not None:
+            assert again._entries[start].__code__ is loop.__code__
+
+
+def _scaled_module(factor):
+    """`out = data * factor`; a non-finite float immediate binds
+    through the environment dict, not the generated source."""
+    pb = ProgramBuilder("t")
+    data = pb.global_array("data", 4, float, init=[1.0, 2.0, 3.0, 4.0])
+    out = pb.global_array("out", 4, float)
+    with pb.function("main") as f:
+        with f.loop(4, name="i") as i:
+            f.assign(out[i], data[i] * factor)
+    return pb.build()
+
+
+def test_constants_bind_through_env_not_source():
+    """Two modules that differ only in an immediate generate the same
+    source, share its code, and still compute their own results."""
+    inf = float("inf")
+    positive, negative = (
+        compile_module(_scaled_module(factor), strategy=Strategy.CB).program
+        for factor in (inf, -inf)
+    )
+    first = _run(positive)[1]
+    before = codegen_stats()
+    second = _run(negative)[1]
+    delta = _memo_delta(before)
+    assert delta["sim.codegen_misses"] == 0
+    assert delta["sim.codegen_hits"] == _code_entries(negative) > 0
+    assert first == _run(positive, backend="interp")[1]
+    assert second == _run(negative, backend="interp")[1]
+    assert first[3] == [inf] * 4
+    assert second[3] == [-inf] * 4
+
+
+def test_memo_stays_at_its_cap_and_recompiles_identically():
+    program = compile_module(_hooked_module(), strategy=Strategy.CB).program
+    reference = _run(program, backend="interp")[1]
+    assert _run(program)[1] == reference
+    cap = fastsim._CODE_MEMO_CAP
+    for n in range(cap + 8):
+        fastsim._compiled("def step():\n    return %d  # filler\n" % n)
+    assert len(fastsim._code_memo) == cap
+    assert codegen_stats()["sim.codegen_entries"] == cap
+    # every source of the first run has been evicted: a fresh program
+    # recompiles them and still matches the reference bit for bit
+    before = codegen_stats()
+    fresh = compile_module(_hooked_module(), strategy=Strategy.CB).program
+    assert _run(fresh)[1] == reference
+    delta = _memo_delta(before)
+    assert delta["sim.codegen_misses"] == _code_entries(fresh) > 0
+    assert delta["sim.codegen_entries"] == 0
+    assert len(fastsim._code_memo) == cap
+
+
+def test_store_round_trip_runs_without_memo_misses(tmp_path):
+    """A program unpickled from the serve store arrives without its
+    codegen cache, regenerates its sources and compiles none of them."""
+    compiled = compile_module(_hooked_module(), strategy=Strategy.CB)
+    expected = _run(compiled.program)[1]
+    store = ArtifactStore(tmp_path)
+    store.put({"test": "memo"}, compiled)
+    loaded = store.get({"test": "memo"})
+    assert "_codegen_cache" not in vars(loaded.program)
+    before = codegen_stats()
+    assert _run(loaded.program)[1] == expected
+    delta = _memo_delta(before)
+    assert delta["sim.codegen_misses"] == 0
+    assert delta["sim.codegen_hits"] == _code_entries(loaded.program) > 0
