@@ -42,8 +42,8 @@ serve [--host H] [--port P] [--workers N] [--cache-dir DIR]
     onto the lockstep batch backend, results streamed back (see
     docs/serving.md for the protocol).  With --journal the service is
     crash-safe: accepted jobs are write-ahead logged, restarts recover
-    unfinished work, and resubmissions deduplicate; per-compile-key
-    circuit breakers and deadline propagation ride along.
+    unfinished work, and resubmissions deduplicate; deadlines
+    propagate into execution.
 chaos [--seed S] [--cycles N] [--jobs-per-cycle K] [--budget SEC] ...
     Deterministic chaos campaign against a live serve subprocess:
     seeded kill/restart cycles, artifact-store sabotage, oversized and
@@ -354,8 +354,6 @@ def cmd_serve(args):
         retries=args.retries,
         journal=args.journal,
         dedup_window=args.dedup_window,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
         scrub_cache=args.scrub_cache,
     )
 
@@ -686,16 +684,6 @@ def build_parser():
         "--dedup-window", type=nonnegative_int, default=1024, metavar="N",
         help="completed terminals kept in memory for idempotent "
         "resubmission replay (default 1024)",
-    )
-    serve.add_argument(
-        "--breaker-threshold", type=nonnegative_int, default=3, metavar="N",
-        help="consecutive compile failures per compile key that open "
-        "its circuit breaker; 0 disables the breaker (default 3)",
-    )
-    serve.add_argument(
-        "--breaker-cooldown", type=float, default=5.0, metavar="SEC",
-        help="base seconds an open breaker fails fast before admitting "
-        "a half-open probe (jittered per key; default 5.0)",
     )
     serve.add_argument(
         "--scrub-cache", action="store_true",

@@ -475,7 +475,7 @@ def run_chaos(plan, work_dir, workers=None, recovery_budget_s=30.0,
             key: value
             for key, value in sorted(final_stats.items())
             if key.startswith("serve.") or key in
-            ("queue_depth", "inflight", "breakers_open")
+            ("queue_depth", "inflight")
         },
         "invariants": invariants,
         "ok": ok,

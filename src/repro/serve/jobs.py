@@ -55,16 +55,10 @@ def job_compile_key(job):
 
 class _JobSource:
     """Adapter giving a job the ``.build()`` shape
-    :func:`~repro.evaluation.runner.compile_workload` expects.
+    :func:`~repro.evaluation.runner.compile_workload` expects."""
 
-    *store* (an :class:`~repro.serve.store.ArtifactStore`, usually the
-    compile cache's) resolves ``{"ref": digest}`` recipes the
-    dispatcher lightened with :func:`lighten_group`.
-    """
-
-    def __init__(self, job, store=None):
+    def __init__(self, job):
         self._job = job
-        self._store = store
 
     def build(self):
         if self._job["kind"] == "run":
@@ -74,19 +68,6 @@ class _JobSource:
         from repro.fuzz.generator import Recipe, build_module, generate_recipe
 
         data = self._job["recipe"]
-        if "ref" in data:
-            # hash-first dispatch: the recipe body lives in the artifact
-            # store; rehydrate through this process's handle
-            resolved = (
-                self._store.get_blob(data["ref"])
-                if self._store is not None else None
-            )
-            if resolved is None:
-                raise RuntimeError(
-                    "recipe blob %s not found in artifact store"
-                    % data["ref"]
-                )
-            data = resolved
         if "body" in data:
             recipe = Recipe.from_dict(data)
         else:
@@ -107,38 +88,8 @@ def compile_for_job(job, cache):
     compile came from (``memory``/``store``/``compile``).
     """
     options = CompileOptions(strategy=Strategy[job["strategy"]])
-    source = _JobSource(job, store=getattr(cache, "store", None))
-    compiled = compile_workload(source, options, cache)
+    compiled = compile_workload(_JobSource(job), options, cache)
     return compiled, getattr(cache, "last_source", None)
-
-
-#: the per-instance fields a non-head group member still needs after
-#: lightening (everything compile-relevant lives on the head job)
-_MEMBER_FIELDS = ("id", "writes", "reads", "backend")
-
-
-def lighten_group(jobs, store=None):
-    """Strip redundant payload from a coalesced group before it is
-    pickled to a worker.
-
-    A group shares one :func:`job_compile_key`, so only ``jobs[0]`` is
-    ever compiled: members past the head keep just their per-instance
-    fields (``id``/``writes``/``reads``/``backend``).  When *store* is
-    given, an inline fuzz recipe body on the head job is parked there
-    as a content-addressed blob and replaced by ``{"ref": digest}`` —
-    the worker rehydrates through its own per-process store handle
-    (:class:`_JobSource`).  Generator specs (``{"seed": ...}``) are
-    already smaller than a digest and stay inline.  Returns new job
-    dicts; the inputs are untouched.
-    """
-    head = dict(jobs[0])
-    recipe = head.get("recipe")
-    if store is not None and isinstance(recipe, dict) and "body" in recipe:
-        head["recipe"] = {"ref": store.put_blob(recipe)}
-    return [head] + [
-        {field: job[field] for field in _MEMBER_FIELDS if field in job}
-        for job in jobs[1:]
-    ]
 
 
 def state_digest(outputs):

@@ -16,10 +16,8 @@ Job schema (``kind`` selects the payload)::
      "strategy": "CB", ...}
     {"kind": "stats"}
 
-Any job may carry an optional ``tenant`` string.  Tenants get their
-own generator-seed namespace (:func:`tenant_seed` salts ``recipe``
-specs of the ``{"seed": N}`` form) and per-tenant accounting in the
-service counters (``serve.tenant.<name>``).
+A ``recipe`` is either a full fuzz recipe (it has a ``body``) or a
+generator spec ``{"seed": N[, "max_statements": K]}``.
 
 Error taxonomy — the ``category`` field of ``error`` events maps
 one-to-one from :mod:`repro.sim.errors`:
@@ -31,10 +29,7 @@ one-to-one from :mod:`repro.sim.errors`:
   field, a line over :data:`MAX_LINE_BYTES`, a truncated final line,
   bad field types); the offending field is named in ``message``;
 * ``deadline`` — the job carried a ``deadline_ms`` budget that expired
-  before (or during) execution (kind ``DeadlineExceeded``);
-* ``unavailable`` — the circuit breaker for this job's compile key is
-  open after repeated compile failures (kind ``CircuitOpen``;
-  ``retry_after_s`` hints when a half-open probe will be admitted).
+  before (or during) execution (kind ``DeadlineExceeded``).
 
 Admission control is a distinct ``rejected`` event (not an error): the
 job was well-formed but the bounded queue is full — resubmit after the
@@ -43,7 +38,6 @@ event's ``retry_after_s`` hint.
 See ``docs/serving.md`` for the full schema and worked transcripts.
 """
 
-import hashlib
 import json
 
 from repro.partition.strategies import Strategy
@@ -64,7 +58,7 @@ MAX_LINE_BYTES = 4 * 1024 * 1024
 #: instead of being silently dropped
 JOB_FIELDS = frozenset((
     "kind", "id", "strategy", "backend", "writes", "reads",
-    "workload", "recipe", "tenant", "deadline_ms",
+    "workload", "recipe", "deadline_ms",
 ))
 
 
@@ -101,21 +95,6 @@ def _require_name(job, field, table, label):
             field=field,
         )
     return value
-
-
-def tenant_seed(tenant, seed):
-    """Deterministically namespace a generator *seed* for *tenant*.
-
-    Two tenants submitting the same generator spec must not land in one
-    seed space (a tenant could otherwise predict — or poison warm cache
-    entries for — another's programs), so the effective seed is drawn
-    from SHA-256 over ``tenant:seed``.  Same tenant, same seed, same
-    program, forever; the mapping is stable across processes.
-    """
-    digest = hashlib.sha256(
-        ("%s:%d" % (tenant, int(seed))).encode()
-    ).digest()
-    return int.from_bytes(digest[:4], "big")
 
 
 def validate_job(obj):
@@ -182,21 +161,11 @@ def validate_job(obj):
         recipe = obj.get("recipe")
         if not isinstance(recipe, dict):
             raise JobError("recipe jobs need a recipe dict", field="recipe")
-        job["recipe"] = recipe
-    tenant = obj.get("tenant")
-    if tenant is not None:
-        if not isinstance(tenant, str) or not tenant:
+        if "body" not in recipe and "seed" not in recipe:
             raise JobError(
-                "tenant must be a non-empty string", field="tenant"
+                "a recipe needs a body or a generator seed", field="recipe"
             )
-        job["tenant"] = tenant
-        recipe = job.get("recipe")
-        if recipe is not None and "body" not in recipe and "seed" in recipe:
-            # generator specs draw from a per-tenant seed space; full
-            # recipe bodies are the tenant's own program and pass through
-            job["recipe"] = dict(
-                recipe, seed=tenant_seed(tenant, recipe["seed"])
-            )
+        job["recipe"] = recipe
     return job
 
 
@@ -241,21 +210,6 @@ def deadline_event(job_id, message, attempts=None):
     if attempts is not None:
         event["attempts"] = attempts
     return event
-
-
-def circuit_open_event(job_id, retry_after_s):
-    """Fail-fast terminal event for a job whose compile key's circuit
-    breaker is open; ``retry_after_s`` hints when the next half-open
-    probe will be admitted."""
-    return {
-        "event": "error",
-        "id": job_id,
-        "kind": "CircuitOpen",
-        "category": "unavailable",
-        "message": "circuit breaker open for this compile key after "
-                   "repeated compile failures; retry after the hint",
-        "retry_after_s": round(retry_after_s, 3),
-    }
 
 
 def error_event_from_description(job_id, description):

@@ -33,11 +33,6 @@ Architecture (one process, one event loop)::
   expired jobs report ``deadline_exceeded`` instead of burning a
   worker.  A client disconnect cancels its queued-but-undispatched
   jobs (``serve.cancelled``).
-* **Circuit breaker** — consecutive compile failures for one
-  :func:`~repro.serve.jobs.job_compile_key` open a per-key breaker:
-  further submissions fail fast with ``circuit_open`` errors until a
-  seeded, jittered cooldown admits a half-open probe
-  (``serve.breaker.*`` counters).
 * **Coalescing** — the dispatcher drains up to ``batch_window`` queued
   jobs at a time and groups them by compile key; each group compiles
   once (through the persistent artifact store when ``cache_dir`` is
@@ -56,21 +51,20 @@ Counters land on the service :class:`~repro.obs.core.Recorder`
 (``serve.accepted``, ``serve.rejected``, ``serve.results``,
 ``serve.errors``, ``serve.groups``, ``serve.coalesced``,
 ``serve.deduped``, ``serve.merged``, ``serve.recovered``,
-``serve.cancelled``, ``serve.deadline_exceeded``, ``serve.breaker.*``,
-``serve.shed.*`` …) and are served to clients via the ``stats``
-request.  See ``docs/serving.md``.
+``serve.cancelled``, ``serve.deadline_exceeded``, ``serve.shed.*`` …)
+and are served to clients via the ``stats`` request.  See
+``docs/serving.md``.
 """
 
 import asyncio
 import json
-import random
 import uuid
 from collections import OrderedDict, deque
 
 from repro.evaluation.parallel import Journal, TaskFailure
 from repro.obs.core import NULL_RECORDER, Recorder
 from repro.serve import protocol
-from repro.serve.jobs import execute_group, job_compile_key, lighten_group
+from repro.serve.jobs import execute_group, job_compile_key
 from repro.sim import codegen_stats
 
 
@@ -88,14 +82,8 @@ def job_key(job):
 def _execute_groups(groups, cache_dir, workers, lanes, timeouts, retries,
                     observe=NULL_RECORDER):
     """Blocking leg of one dispatch round (runs in the executor thread):
-    every group through one :func:`supervised_map` call.
-
-    Groups are lightened first (:func:`~repro.serve.jobs.lighten_group`):
-    members past the head drop their compile fields and, when a store
-    is configured, inline recipe bodies are swapped for content-address
-    refs — so the per-task pipe payload carries hashes, not duplicated
-    program sources.  Per-task pickled bytes land on *observe* as
-    ``supervised.payload_bytes``.
+    every group through one :func:`supervised_map` call.  Per-task
+    pickled bytes land on *observe* as ``supervised.payload_bytes``.
 
     ``timeouts`` supplies one deadline per group (None entries run
     unbounded); ``on_error="return"`` keeps one exhausted group from
@@ -103,15 +91,10 @@ def _execute_groups(groups, cache_dir, workers, lanes, timeouts, retries,
     :class:`~repro.evaluation.parallel.TaskFailure` instead.
     """
     from repro.evaluation.parallel import supervised_map
-    from repro.serve.store import process_compile_cache
 
-    store = process_compile_cache(cache_dir).store if cache_dir else None
     return supervised_map(
         execute_group,
-        [
-            (lighten_group(group, store=store), cache_dir, lanes)
-            for group in groups
-        ],
+        [(group, cache_dir, lanes) for group in groups],
         jobs=workers,
         timeout=timeouts,
         retries=retries,
@@ -141,28 +124,15 @@ class _Entry:
         self.dispatched = False
 
 
-class _Breaker:
-    """Per-compile-key circuit breaker state (closed → open → half-open)."""
-
-    __slots__ = ("failures", "state", "opened_at")
-
-    def __init__(self):
-        self.failures = 0
-        self.state = "closed"
-        self.opened_at = 0.0
-
-
 class SimService:
     """One ``repro serve`` instance: socket front-end, bounded queue,
-    durable write-ahead journal, coalescing dispatcher, circuit
-    breaker, supervised execution (module docstring has the
-    architecture)."""
+    durable write-ahead journal, coalescing dispatcher, supervised
+    execution (module docstring has the architecture)."""
 
     def __init__(self, host="127.0.0.1", port=0, workers=None,
                  cache_dir=None, queue_limit=256, batch_window=32,
                  lanes=64, timeout=None, retries=2, observe=None,
-                 journal=None, dedup_window=1024, breaker_threshold=3,
-                 breaker_cooldown=5.0, breaker_seed=0):
+                 journal=None, dedup_window=1024):
         self.host = host
         self.port = port
         self.workers = workers
@@ -174,9 +144,6 @@ class SimService:
         self.retries = retries
         self.observe = observe if observe is not None else Recorder()
         self.dedup_window = dedup_window
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown = breaker_cooldown
-        self.breaker_seed = breaker_seed
         if isinstance(journal, str):
             self.journal_path = journal
             self._journal = None
@@ -196,8 +163,6 @@ class SimService:
         self._completed = OrderedDict()
         #: journal-recovered entries, drained before the main queue
         self._recovery = deque()
-        #: compile key -> _Breaker
-        self._breakers = {}
         self._last_round_s = 0.05
         #: test hook: a paused dispatcher leaves jobs in the queue so
         #: admission control is deterministically observable
@@ -223,7 +188,7 @@ class SimService:
                 if job is None:
                     continue
                 try:
-                    job = self._revalidate(job)
+                    job = protocol.validate_job(job)
                 except protocol.JobError as error:
                     self.observe.counter("serve.protocol_errors")
                     await self._finish(
@@ -276,29 +241,15 @@ class SimService:
             return jobs[0]
         return None
 
-    @staticmethod
-    def _revalidate(job):
-        """Normalize a journal-recovered job through the protocol, as
-        :meth:`_handle_line` does a submission: a job an older service
-        journaled may carry a value only the protocol still maps
-        (``backend: "fast"``) or no longer accepts.  The tenant's seed
-        namespacing was applied when the job was first accepted, so it
-        is not applied twice."""
-        tenant = job.pop("tenant", None)
-        job = protocol.validate_job(job)
-        if tenant is not None:
-            job["tenant"] = tenant
-        return job
-
     def _remember(self, key, event):
         """Admit one terminal event to the idempotency window.
 
-        Deadline and circuit-open terminals are excluded: both are
-        relative to *this* submission's timing, so a resubmission
-        deserves a fresh run.  Cancellations likewise."""
+        Deadline terminals are excluded: they are relative to *this*
+        submission's timing, so a resubmission deserves a fresh run.
+        Cancellations likewise."""
         if event.get("event") == "cancelled":
             return
-        if event.get("category") in ("deadline", "unavailable"):
+        if event.get("category") == "deadline":
             return
         self._completed[key] = event
         self._completed.move_to_end(key)
@@ -446,8 +397,6 @@ class SimService:
             # it was accepted, so an accepted job survives a crash
             self._journal.mark_started(key, 1)
         self.observe.counter("serve.accepted")
-        if "tenant" in job:
-            self.observe.counter("serve.tenant.%s" % job["tenant"])
         await self._send(writer, {"event": "accepted", "id": job["id"]})
 
     def _retry_after_hint(self):
@@ -487,9 +436,6 @@ class SimService:
         counters = dict(self.observe.counters)
         counters["queue_depth"] = self._queue.qsize() if self._queue else 0
         counters["inflight"] = len(self._inflight)
-        counters["breakers_open"] = sum(
-            1 for b in self._breakers.values() if b.state != "closed"
-        )
         counters.update(codegen_stats())
         return {"event": "stats", "counters": counters}
 
@@ -529,53 +475,6 @@ class SimService:
         }
         self.observe.counter("serve.errors")
         await self._finish(entry, event)
-
-    # -- circuit breaker -----------------------------------------------
-    def _breaker_cooldown_for(self, compile_key):
-        """This key's open-state cooldown: the configured base plus a
-        deterministic per-key jitter (seeded, so chaos runs replay)."""
-        jitter = random.Random(
-            "%d:%s" % (self.breaker_seed, compile_key)
-        ).uniform(0.0, 0.25)
-        return self.breaker_cooldown * (1.0 + jitter)
-
-    def _breaker_gate(self, compile_key, now):
-        """None admits the group (closed, or promoted to a half-open
-        probe); a float fails it fast with that many seconds to retry."""
-        if not self.breaker_threshold:
-            return None
-        breaker = self._breakers.get(compile_key)
-        if breaker is None or breaker.state == "closed":
-            return None
-        if breaker.state == "half-open":
-            return None
-        cooldown = self._breaker_cooldown_for(compile_key)
-        elapsed = now - breaker.opened_at
-        if elapsed >= cooldown:
-            breaker.state = "half-open"
-            self.observe.counter("serve.breaker.half_open")
-            return None
-        return max(cooldown - elapsed, 0.001)
-
-    def _breaker_failure(self, compile_key, now):
-        if not self.breaker_threshold:
-            return
-        breaker = self._breakers.get(compile_key)
-        if breaker is None:
-            breaker = self._breakers[compile_key] = _Breaker()
-        breaker.failures += 1
-        self.observe.counter("serve.breaker.failures")
-        if (breaker.state == "half-open"
-                or breaker.failures >= self.breaker_threshold):
-            if breaker.state != "open":
-                self.observe.counter("serve.breaker.open")
-            breaker.state = "open"
-            breaker.opened_at = now
-
-    def _breaker_success(self, compile_key):
-        breaker = self._breakers.pop(compile_key, None)
-        if breaker is not None and breaker.state != "closed":
-            self.observe.counter("serve.breaker.closed")
 
     # -- dispatcher ----------------------------------------------------
     def _group_timeout(self, members, now):
@@ -633,35 +532,22 @@ class SimService:
             groups = {}
             for entry in live:
                 groups.setdefault(job_compile_key(entry.job), []).append(entry)
-            ordered = []
-            for compile_key, members in groups.items():
-                retry_after = self._breaker_gate(compile_key, now)
-                if retry_after is not None:
-                    for entry in members:
-                        self.observe.counter("serve.breaker.fastfail")
-                        self.observe.counter("serve.errors")
-                        await self._finish(entry, protocol.circuit_open_event(
-                            entry.job["id"], retry_after,
-                        ))
-                    continue
-                ordered.append((compile_key, members))
-            if not ordered:
-                continue
+            ordered = list(groups.values())
             self.observe.counter("serve.dispatches")
             self.observe.counter("serve.groups", len(ordered))
             self.observe.counter(
                 "serve.coalesced",
-                sum(len(m) - 1 for _key, m in ordered if len(m) > 1),
+                sum(len(members) - 1 for members in ordered),
             )
             timeouts = [
-                self._group_timeout(members, now) for _key, members in ordered
+                self._group_timeout(members, now) for members in ordered
             ]
             round_started = loop.time()
             try:
                 results = await loop.run_in_executor(
                     None,
                     _execute_groups,
-                    [[e.job for e in members] for _key, members in ordered],
+                    [[e.job for e in members] for members in ordered],
                     self.cache_dir,
                     self.workers,
                     self.lanes,
@@ -676,7 +562,7 @@ class SimService:
                 # (supervision failures come back in-slot): every job in
                 # the round gets a terminal error event.
                 self.observe.counter("serve.dispatch_failures")
-                for _key, members in ordered:
+                for members in ordered:
                     for entry in members:
                         self.observe.counter("serve.errors")
                         await self._finish(
@@ -686,7 +572,7 @@ class SimService:
                 continue
             self._last_round_s = max(loop.time() - round_started, 0.001)
             now = loop.time()
-            for (compile_key, members), group_results in zip(ordered, results):
+            for members, group_results in zip(ordered, results):
                 if isinstance(group_results, TaskFailure):
                     for entry in members:
                         await self._finish_failure(entry, group_results, now)
@@ -703,15 +589,6 @@ class SimService:
                     self.observe.counter("serve.store_hits")
                 elif group_obs.get("cache") == "compile":
                     self.observe.counter("serve.store_misses")
-                compile_failed = bool(group_results) and all(
-                    not result.get("ok")
-                    and (result.get("obs") or {}).get("stage") == "compile"
-                    for result in group_results
-                )
-                if compile_failed:
-                    self._breaker_failure(compile_key, now)
-                else:
-                    self._breaker_success(compile_key)
                 for entry, result in zip(members, group_results):
                     if entry.deadline is not None and now >= entry.deadline:
                         self.observe.counter("serve.deadline_exceeded")
@@ -740,7 +617,6 @@ class SimService:
 def run_service(host="127.0.0.1", port=0, workers=None, cache_dir=None,
                 queue_limit=256, batch_window=32, lanes=64, timeout=None,
                 retries=2, log=print, journal=None, dedup_window=1024,
-                breaker_threshold=3, breaker_cooldown=5.0,
                 scrub_cache=False):
     """Blocking CLI entry point: start a :class:`SimService` and serve
     until interrupted.  Prints the bound address (flushed, so wrappers
@@ -762,8 +638,7 @@ def run_service(host="127.0.0.1", port=0, workers=None, cache_dir=None,
         host=host, port=port, workers=workers, cache_dir=cache_dir,
         queue_limit=queue_limit, batch_window=batch_window, lanes=lanes,
         timeout=timeout, retries=retries, journal=journal,
-        dedup_window=dedup_window, breaker_threshold=breaker_threshold,
-        breaker_cooldown=breaker_cooldown,
+        dedup_window=dedup_window,
     )
 
     async def _main():

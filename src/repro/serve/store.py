@@ -219,28 +219,6 @@ class ArtifactStore:
         self.evict()
         return path
 
-    # -- blobs ---------------------------------------------------------
-    def put_blob(self, obj):
-        """Store a JSON-able object content-addressed by its own
-        canonical digest; returns the digest.
-
-        Blobs carry the payloads the serve dispatcher strips out of
-        worker task tuples (fuzz recipe dicts, today): the dispatcher
-        ships the digest, the worker rehydrates with :meth:`get_blob`
-        through its per-process store handle.  Writing is idempotent —
-        an existing entry is left untouched.
-        """
-        digest = hashlib.sha256(canonical_key(obj).encode()).hexdigest()
-        key = {"blob": digest}
-        if not os.path.exists(self.path_for(key)):
-            self.put(key, obj)
-        return digest
-
-    def get_blob(self, digest):
-        """The blob stored under *digest*, or None on miss/corruption
-        (same verify-on-read contract as :meth:`get`)."""
-        return self.get({"blob": digest})
-
     # -- maintenance ---------------------------------------------------
     def entries(self):
         """Every entry as ``(path, size_bytes, mtime)``, LRU first."""

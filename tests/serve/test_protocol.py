@@ -89,6 +89,10 @@ def test_recipe_jobs_need_a_recipe_dict():
     with pytest.raises(JobError) as info:
         validate_job({"kind": "recipe", "recipe": "seed=3"})
     assert info.value.field == "recipe"
+    # a dict with neither a body nor a generator seed names no program
+    with pytest.raises(JobError) as info:
+        validate_job({"kind": "recipe", "recipe": {}})
+    assert info.value.field == "recipe"
     job = validate_job({"kind": "recipe", "recipe": {"seed": 3}})
     assert job["recipe"] == {"seed": 3}
 
@@ -147,13 +151,6 @@ def test_deadline_event_shape():
     assert "attempts" not in event
     with_attempts = protocol.deadline_event("j", "terminated", attempts=3)
     assert with_attempts["attempts"] == 3
-
-
-def test_circuit_open_event_shape():
-    event = protocol.circuit_open_event("j", 1.23456)
-    assert event["category"] == "unavailable"
-    assert event["kind"] == "CircuitOpen"
-    assert event["retry_after_s"] == 1.235  # rounded for the wire
 
 
 def test_error_event_from_description_preserves_context():

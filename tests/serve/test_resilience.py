@@ -1,11 +1,10 @@
 """Crash-safety and overload behavior of the serve path: the durable
 write-ahead journal (recovery, idempotent replay, in-flight merge),
-deadline propagation, client-disconnect cancellation, the per-compile-key
-circuit breaker, and protocol abuse (oversized and truncated lines)
-that must degrade to typed errors, never crashes."""
+deadline propagation, client-disconnect cancellation, and protocol
+abuse (oversized and truncated lines) that must degrade to typed
+errors, never crashes."""
 
 import asyncio
-import json
 import os
 import re
 import socket
@@ -23,9 +22,6 @@ from repro.serve.service import SimService, _Entry, job_key
 
 JOB_A = {"kind": "run", "workload": "fir_32_1", "id": "r-0"}
 JOB_B = {"kind": "run", "workload": "mult_4_4", "id": "r-1"}
-
-#: a recipe whose compile deterministically fails (no ``arrays`` key)
-BAD_RECIPE = {"kind": "recipe", "recipe": {"body": 42}}
 
 
 def _direct(job, cache_dir=None):
@@ -129,9 +125,9 @@ def test_recovery_revalidates_journaled_jobs(tmp_path):
     """A job an older service journaled as started is normalized through
     the protocol on recovery: ``backend: "fast"`` (the wire alias of the
     retired backend) runs on jit, and a job that no longer validates —
-    an unknown backend, or the retired ``partitioner`` field every job
-    used to carry — ends in the structured protocol error, never an
-    internal one."""
+    an unknown backend, or the retired ``partitioner`` or ``tenant``
+    field — ends in the structured protocol error, never an internal
+    one."""
     journal_path = str(tmp_path / "journal.jsonl")
     defaults = {"strategy": "CB", "writes": {}, "reads": []}
     fast = dict(defaults, kind="run", workload="fir_32_1", backend="fast",
@@ -141,8 +137,10 @@ def test_recovery_revalidates_journaled_jobs(tmp_path):
     partitioned = dict(defaults, kind="run", workload="fir_32_1",
                        backend="interp", partitioner="greedy",
                        id="old-partitioned")
+    tenanted = dict(defaults, kind="run", workload="fir_32_1",
+                    backend="interp", tenant="alpha", id="old-tenant")
     keys = {job["id"]: Journal.key_for([job])
-            for job in (fast, stale, partitioned)}
+            for job in (fast, stale, partitioned, tenanted)}
     journal = Journal(journal_path)
     for key in keys.values():
         journal.mark_started(key, 1)
@@ -158,7 +156,7 @@ def test_recovery_revalidates_journaled_jobs(tmp_path):
 
     stats = _with_service(recover, journal=journal_path)
     assert stats["serve.recovered"] == 1
-    assert stats["serve.protocol_errors"] == 2
+    assert stats["serve.protocol_errors"] == 3
     completed = _journal_completed(journal_path)
     result = completed[keys["old-fast"]]
     assert result["event"] == "result"
@@ -176,16 +174,12 @@ def test_recovery_revalidates_journaled_jobs(tmp_path):
     assert error["category"] == "protocol"
     assert error["field"] == "partitioner"
     assert error["id"] == "old-partitioned"
-
-
-def test_revalidation_keeps_the_tenant_seed_space():
-    """Recovery re-validates a job already validated once: the tenant's
-    seed namespacing must not be applied a second time."""
-    job = protocol.validate_job({
-        "kind": "recipe", "recipe": {"seed": 7}, "tenant": "acme",
-    })
-    recovered = SimService._revalidate(json.loads(json.dumps(job)))
-    assert recovered == job
+    error = completed[keys["old-tenant"]]
+    assert error["event"] == "error"
+    assert error["category"] == "protocol"
+    assert error["field"] == "tenant"
+    assert error["message"].startswith("unknown field(s) tenant")
+    assert error["id"] == "old-tenant"
 
 
 def test_resubmission_within_one_session_replays_bit_identically(tmp_path):
@@ -342,96 +336,11 @@ def test_transient_terminals_are_never_remembered():
     service = SimService(dedup_window=2)
     service._remember("k1", {"event": "cancelled", "id": "x"})
     service._remember("k2", protocol.deadline_event("x", "late"))
-    service._remember("k3", protocol.circuit_open_event("x", 1.0))
     assert not service._completed
     # real terminals are, and the window is bounded LRU
     for index in range(3):
         service._remember("r%d" % index, {"event": "result", "id": "x"})
     assert list(service._completed) == ["r1", "r2"]
-
-
-# ---------------------------------------------------------------------
-# Circuit breaker
-# ---------------------------------------------------------------------
-def test_breaker_state_machine():
-    service = SimService(breaker_threshold=2, breaker_cooldown=1.0)
-    key, now = "ck", 50.0
-    cooldown = service._breaker_cooldown_for(key)
-    assert 1.0 <= cooldown <= 1.25
-    assert cooldown == service._breaker_cooldown_for(key)  # seeded
-
-    assert service._breaker_gate(key, now) is None  # closed
-    service._breaker_failure(key, now)
-    assert service._breaker_gate(key, now) is None  # one strike: closed
-    service._breaker_failure(key, now)
-    retry = service._breaker_gate(key, now + 0.1)  # two strikes: open
-    assert retry is not None and 0 < retry <= cooldown
-    assert service.observe.counters["serve.breaker.open"] == 1
-    # the cooldown admits exactly one half-open probe
-    assert service._breaker_gate(key, now + cooldown) is None
-    assert service.observe.counters["serve.breaker.half_open"] == 1
-    # a failing probe reopens immediately, threshold or not
-    service._breaker_failure(key, now + cooldown)
-    assert service._breakers[key].state == "open"
-    assert service.observe.counters["serve.breaker.open"] == 2
-    # a succeeding probe closes and forgets the key
-    service._breakers[key].state = "half-open"
-    service._breaker_success(key)
-    assert key not in service._breakers
-    assert service.observe.counters["serve.breaker.closed"] == 1
-    # threshold 0 disables the breaker entirely
-    off = SimService(breaker_threshold=0)
-    off._breaker_failure("k", now)
-    assert off._breaker_gate("k", now) is None
-
-
-def test_repeated_compile_failures_open_the_breaker(tmp_path):
-    def body(_service, host, port):
-        with ServeClient(host, port) as client:
-            events = [
-                client.run_jobs([dict(BAD_RECIPE, id="b-%d" % index)])[0]
-                for index in range(3)
-            ]
-            return events, client.stats()
-
-    events, stats = _with_service(
-        body, cache_dir=str(tmp_path), breaker_threshold=2,
-        breaker_cooldown=60.0,
-    )
-    # two real compile failures...
-    for event in events[:2]:
-        assert event["event"] == "error"
-        assert event["kind"] != "CircuitOpen"
-        assert event["obs"]["stage"] == "compile"
-    # ...then the breaker fails the third fast, with a retry hint
-    assert events[2]["kind"] == "CircuitOpen"
-    assert events[2]["category"] == "unavailable"
-    assert events[2]["retry_after_s"] > 0
-    assert stats["serve.breaker.failures"] == 2
-    assert stats["serve.breaker.open"] == 1
-    assert stats["serve.breaker.fastfail"] == 1
-    assert stats["breakers_open"] == 1
-
-
-def test_cooldown_admits_a_half_open_probe(tmp_path):
-    def body(_service, host, port):
-        with ServeClient(host, port) as client:
-            opened = client.run_jobs([dict(BAD_RECIPE, id="h-0")])[0]
-            time.sleep(0.3)  # past the jittered cooldown (<= 0.0625s)
-            probe = client.run_jobs([dict(BAD_RECIPE, id="h-1")])[0]
-            return opened, probe, client.stats()
-
-    opened, probe, stats = _with_service(
-        body, cache_dir=str(tmp_path), breaker_threshold=1,
-        breaker_cooldown=0.05,
-    )
-    assert opened["event"] == "error" and opened["kind"] != "CircuitOpen"
-    # the probe was admitted (really compiled, really failed) — and its
-    # failure reopened the breaker
-    assert probe["kind"] != "CircuitOpen"
-    assert probe["obs"]["stage"] == "compile"
-    assert stats["serve.breaker.half_open"] == 1
-    assert stats["serve.breaker.open"] == 2
 
 
 # ---------------------------------------------------------------------
@@ -520,7 +429,6 @@ def test_stats_carry_resilience_gauges(tmp_path):
 
     stats = _with_service(body, cache_dir=str(tmp_path))
     assert stats["inflight"] == 0
-    assert stats["breakers_open"] == 0
     assert stats["queue_depth"] == 0
 
 

@@ -179,12 +179,13 @@ def test_protocol_and_program_errors_are_categorized(tmp_path):
                  "writes": {"x": [0.0] * 99}},
                 {"kind": "run", "workload": "fir_32_1",
                  "partitioner": "greedy"},
+                {"kind": "run", "workload": "fir_32_1", "tenant": "alpha"},
             ])
             raw = client.send({"kind": "mystery"}) or client.read_event()
         return events, raw
 
     events, raw = _with_service(body, cache_dir=str(tmp_path))
-    assert [e["event"] for e in events] == ["error"] * 5
+    assert [e["event"] for e in events] == ["error"] * 6
     assert events[0]["category"] == "protocol"
     assert events[0]["field"] == "workload"
     assert events[1]["category"] == "protocol"
@@ -194,6 +195,8 @@ def test_protocol_and_program_errors_are_categorized(tmp_path):
     assert events[3]["kind"] == "BadWrite"
     assert events[4]["category"] == "protocol"
     assert events[4]["field"] == "partitioner"
+    assert events[5]["category"] == "protocol"
+    assert events[5]["field"] == "tenant"
     assert raw["category"] == "protocol" and raw["field"] == "kind"
 
 
@@ -213,6 +216,46 @@ def test_one_bad_job_never_fails_its_groupmates(tmp_path):
     assert events["good"]["event"] == "result"
     assert events["bad"]["event"] == "error"
     assert events["bad"]["category"] == "program"
+
+
+def test_a_compile_failure_faults_only_its_own_group(tmp_path):
+    """A recipe that cannot compile errors at the compile stage without
+    touching the healthy group dispatched in the same round, and each
+    resubmission compiles and fails again: nothing fails it fast."""
+    bad = {"kind": "recipe", "recipe": {"body": 42}}
+    good = {"kind": "run", "workload": "fir_32_1", "id": "good"}
+
+    def body(service, host, port):
+        service.paused = True
+        with ServeClient(host, port) as client:
+            client.send(dict(bad, id="bad-0"))
+            client.send(good)
+            for _ in range(2):
+                client.read_event()  # accepted
+            service.paused = False
+            first = {
+                e["id"]: e for e in (client.read_event() for _ in range(2))
+            }
+            again = [
+                client.run_jobs([dict(bad, id="bad-%d" % index)])[0]
+                for index in range(1, 4)
+            ]
+            return first, again, client.stats()
+
+    first, again, stats = _with_service(body, cache_dir=str(tmp_path))
+    assert first["good"]["event"] == "result"
+    assert first["good"]["digest"] == _direct(good)["digest"]
+    failed = first["bad-0"]
+    assert failed["event"] == "error"
+    assert failed["obs"]["stage"] == "compile"
+    for event in again:
+        assert event["event"] == "error"
+        assert event["obs"]["stage"] == "compile"
+        assert (event["kind"], event["category"], event["message"]) == (
+            failed["kind"], failed["category"], failed["message"]
+        )
+    assert stats["serve.dispatches"] == 4
+    assert stats["serve.groups"] == 5
 
 
 # ---------------------------------------------------------------------
