@@ -121,19 +121,6 @@ def compile_module(module, options=None, **kwargs):
     observe = options.observe if options.observe is not None else NULL_RECORDER
 
     with observe.span("compile") as compile_span:
-        node_stats = getattr(module, "node_stats", None)
-        if node_stats is not None and observe is not NULL_RECORDER:
-            # Front-end hash-consing statistics, recorded by the
-            # ProgramBuilder's build context (see repro.ir.intern).
-            observe.counter("nodes.created", node_stats["nodes_created"])
-            observe.counter("nodes.cons_hits", node_stats["cons_hits"])
-            observe.counter("nodes.cons_entries", node_stats["cons_entries"])
-            observe.counter(
-                "nodes.interned_immediates", node_stats["immediate_entries"]
-            )
-            observe.counter(
-                "nodes.interned_labels", node_stats["label_entries"]
-            )
         with observe.span("validate"):
             validate_module(module)
 

@@ -40,33 +40,17 @@ class CostReport:
 
 
 class CostModel:
-    """Extracts a :class:`CostReport` from a compile + simulate pair.
-
-    With ``packed_code=True``, instruction memory is charged by the
-    bit-packed encoding (:mod:`repro.machine.encoding`) instead of the
-    paper's one-word-per-long-instruction simplification.
-    """
-
-    def __init__(self, packed_code=False, word_bits=32):
-        self.packed_code = packed_code
-        self.word_bits = word_bits
+    """Extracts a :class:`CostReport` from a compile + simulate pair,
+    charging one instruction-memory word per long instruction
+    (``program.size``)."""
 
     def measure(self, compile_result, sim_result):
         layout = compile_result.program.layout
-        stack = max(sim_result.stack_peak_x, sim_result.stack_peak_y)
-        if self.packed_code:
-            from repro.machine.encoding import packed_size_words
-
-            instructions = packed_size_words(
-                compile_result.program, self.word_bits
-            )
-        else:
-            instructions = compile_result.program.size
         return CostReport(
             data_x=layout.data_size_x,
             data_y=layout.data_size_y,
-            stack=stack,
-            instructions=instructions,
+            stack=max(sim_result.stack_peak_x, sim_result.stack_peak_y),
+            instructions=compile_result.program.size,
         )
 
 

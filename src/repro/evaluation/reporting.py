@@ -220,32 +220,6 @@ def render_observability(report):
     for config in (base, target):
         lines += ["", "## Compile passes — %s" % config["label"], ""]
         _render_passes(lines, config)
-    nodes = target.get("nodes") or base.get("nodes")
-    if nodes:
-        lines += ["", "## Frontend nodes", ""]
-        lines.append(
-            "| nodes created | cons hits | hit rate | cons entries "
-            "| interned immediates | interned labels |"
-        )
-        lines.append("|---:|---:|---:|---:|---:|---:|")
-        lines.append(
-            "| %d | %d | %.1f%% | %d | %d | %d |"
-            % (
-                nodes["nodes_created"],
-                nodes["cons_hits"],
-                100.0 * nodes["cons_hit_rate"],
-                nodes["cons_entries"],
-                nodes["immediate_entries"],
-                nodes["label_entries"],
-            )
-        )
-        per_class = ", ".join(
-            "%s %d" % (name, count)
-            for name, count in sorted(nodes["created"].items())
-        )
-        if per_class:
-            lines.append("")
-            lines.append("Created per class: %s." % per_class)
     for config in (base, target):
         lines += ["", "## Hot pcs — %s (top %d)" % (config["label"], report["top"]), ""]
         lines.append("| pc | cycles | share | block | instruction |")

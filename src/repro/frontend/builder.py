@@ -26,7 +26,6 @@ from repro.frontend.expressions import (
 )
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
-from repro.ir.intern import BuildContext, activate, retire
 from repro.ir.module import Module
 from repro.ir.operations import OpCode, Operation
 from repro.ir.symbols import Storage, Symbol
@@ -109,22 +108,13 @@ class FunctionHandle:
 
 
 class ProgramBuilder:
-    """Top-level builder for a whole program (a :class:`Module`).
+    """Top-level builder for a whole program (a :class:`Module`)."""
 
-    Construction activates a :class:`~repro.ir.intern.BuildContext`:
-    every expression, immediate, and label built until ``build()`` is
-    hash-consed/interned through it, so structurally equal subtrees are
-    pointer-identical within this build (and only within it — the
-    context retires with the builder, which is what keeps two programs
-    from ever sharing nodes).
-    """
-
-    __slots__ = ("module", "_handles", "_context")
+    __slots__ = ("module", "_handles")
 
     def __init__(self, name):
         self.module = Module(name)
         self._handles = {}
-        self._context = activate(BuildContext())
 
     # ------------------------------------------------------------------
     # Global data
@@ -176,16 +166,7 @@ class ProgramBuilder:
         return self._handles[name]
 
     def build(self, validate=True):
-        """Finish the module, optionally running the IR validator.
-
-        Retires the build context (idempotently) and records its node
-        statistics on ``module.node_stats`` for observability — the
-        compile pipeline forwards them to ``repro report``.
-        """
-        if self._context is not None:
-            self.module.node_stats = self._context.stats()
-            retire(self._context)
-            self._context = None
+        """Finish the module, optionally running the IR validator."""
         if validate:
             validate_module(self.module)
         return self.module

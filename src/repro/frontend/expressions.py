@@ -15,7 +15,6 @@ address register file — mirroring the explicit register-file moves of the
 model architecture.
 """
 
-from repro.ir.intern import cons
 from repro.ir.operations import OpCode, Operation
 from repro.ir.types import DataType, RegClass
 from repro.ir.values import Immediate
@@ -27,14 +26,8 @@ class Expr:
     ``dtype`` is the scalar result type.  ``is_index`` marks expressions
     whose natural home is the address register file.
 
-    Every subclass is slotted (no per-instance ``__dict__``) and
-    **hash-consed** while a :class:`~repro.ir.intern.BuildContext` is
-    active: constructing a node whose class and children match an
-    existing one returns that same object, so structurally equal trees
-    are pointer-identical within one build.  Consing is sound only
-    because nodes are immutable after construction — rewriting code
-    must reconstruct, never mutate (``tests/frontend/test_hash_consing.py``
-    enforces both properties).
+    Every subclass is slotted (no per-instance ``__dict__``), and nodes
+    are not mutated after construction: rewriting code reconstructs.
     """
 
     __slots__ = ()
@@ -134,11 +127,6 @@ class Const(Expr):
 
     __slots__ = ("value", "dtype")
 
-    def __new__(cls, value, dtype):
-        return cons(
-            cls, (cls, type(value), value, dtype), lambda: object.__new__(cls)
-        )
-
     def __init__(self, value, dtype):
         self.value = value
         self.dtype = dtype
@@ -151,9 +139,6 @@ class VarRef(Expr):
     """A register-resident scalar variable."""
 
     __slots__ = ("register", "dtype", "is_index")
-
-    def __new__(cls, register):
-        return cons(cls, (cls, id(register)), lambda: object.__new__(cls))
 
     def __init__(self, register):
         self.register = register
@@ -169,12 +154,6 @@ class ArrayRef(Expr):
 
     __slots__ = ("symbol", "index", "dtype")
 
-    def __new__(cls, symbol, index):
-        index = wrap(index)
-        return cons(
-            cls, (cls, id(symbol), id(index)), lambda: object.__new__(cls)
-        )
-
     def __init__(self, symbol, index):
         self.symbol = symbol
         self.index = wrap(index)
@@ -188,12 +167,6 @@ class BinOp(Expr):
     __slots__ = ("operator", "left", "right", "dtype", "is_index")
 
     _FLOAT_PROMOTING = {"+", "-", "*", "/"}
-
-    def __new__(cls, operator, left, right):
-        return cons(
-            cls, (cls, operator, id(left), id(right)),
-            lambda: object.__new__(cls),
-        )
 
     def __init__(self, operator, left, right):
         self.operator = operator
@@ -220,11 +193,6 @@ class BinOp(Expr):
 class UnOp(Expr):
     __slots__ = ("operator", "operand", "dtype")
 
-    def __new__(cls, operator, operand):
-        return cons(
-            cls, (cls, operator, id(operand)), lambda: object.__new__(cls)
-        )
-
     def __init__(self, operator, operand):
         self.operator = operator
         self.operand = operand
@@ -240,12 +208,6 @@ class Compare(Expr):
     """A comparison; always yields an INT 0/1 value."""
 
     __slots__ = ("operator", "left", "right", "dtype")
-
-    def __new__(cls, operator, left, right):
-        return cons(
-            cls, (cls, operator, id(left), id(right)),
-            lambda: object.__new__(cls),
-        )
 
     def __init__(self, operator, left, right):
         self.operator = operator
@@ -263,12 +225,6 @@ class MathCall(Expr):
     __slots__ = ("name", "operand", "dtype")
 
     _OPCODES = {"sqrt": OpCode.FSQRT, "fabs": OpCode.FABS}
-
-    def __new__(cls, name, operand):
-        operand = wrap(operand)
-        return cons(
-            cls, (cls, name, id(operand)), lambda: object.__new__(cls)
-        )
 
     def __init__(self, name, operand):
         if name not in self._OPCODES:
@@ -308,8 +264,8 @@ def imax(a, b):
 class CallExpr(Expr):
     """A call to another DSL function, usable as a value.
 
-    Not consed: a call is an effect site, and every textual occurrence
-    must lower to its own CALL operation regardless of argument shape.
+    A call is an effect site: every textual occurrence lowers to its own
+    CALL operation regardless of argument shape.
     """
 
     __slots__ = ("handle", "args", "dtype")

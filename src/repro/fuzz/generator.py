@@ -211,7 +211,7 @@ def _body_statement(rng, arrays, helper_count, depth):
 # ----------------------------------------------------------------------
 # Module construction
 # ----------------------------------------------------------------------
-class _BuildContext:
+class _FunctionScope:
     """Handles shared by the statement emitters for one function."""
 
     def __init__(self, f, arrays, out, acc, helpers):
@@ -256,7 +256,7 @@ def build_module(recipe, name="fuzz"):
         ) as f:
             hacc = f.float_var("hacc")
             f.assign(hacc, 0.0)
-            context = _BuildContext(f, arrays, out, hacc, helper_handles)
+            context = _FunctionScope(f, arrays, out, hacc, helper_handles)
             for stmt in body:
                 _emit(stmt, context)
             f.ret(hacc + f.param("x"))
@@ -265,7 +265,7 @@ def build_module(recipe, name="fuzz"):
     with pb.function("main") as f:
         acc = f.float_var("acc")
         f.assign(acc, 0.0)
-        context = _BuildContext(f, arrays, out, acc, helper_handles)
+        context = _FunctionScope(f, arrays, out, acc, helper_handles)
         for stmt in recipe.body:
             _emit(stmt, context)
         f.assign(checksum[0], acc)

@@ -1,15 +1,5 @@
-"""Operand values: virtual registers, immediates, and branch labels.
+"""Operand values: virtual registers, immediates, and branch labels."""
 
-``Immediate`` and ``Label`` are *interned* while a
-:class:`~repro.ir.intern.BuildContext` is active (i.e. under a
-:class:`~repro.frontend.builder.ProgramBuilder`): structurally equal
-operands are then pointer-identical, so operand comparison and
-fingerprinting inside the front-end degenerate to identity tests.
-Outside a build context construction is plain — compiler passes that
-synthesize operands get fresh, unshared objects, exactly as before.
-"""
-
-from repro.ir.intern import current_context
 from repro.ir.types import DataType
 
 import sys
@@ -24,8 +14,7 @@ class VirtualRegister:
 
     Instances are identity-hashed: two registers are the same operand only
     if they are the same object, which keeps renaming explicit.  They are
-    mutable (``physical`` is assigned by register allocation) and so are
-    never interned.
+    mutable: ``physical`` is assigned by register allocation.
     """
 
     __slots__ = ("index", "rclass", "name", "physical")
@@ -54,40 +43,17 @@ class VirtualRegister:
 class Immediate:
     """A compile-time constant operand.
 
-    Interned per build context by ``(value, data_type)`` — the
-    normalized value, so ``Immediate(True)`` and ``Immediate(1)`` are
-    one object under a builder.  Immutable once constructed.
+    Compared and hashed by the normalized ``(value, data_type)``, so
+    ``Immediate(True) == Immediate(1)``.  Immutable once constructed.
     """
 
     __slots__ = ("value", "data_type")
 
-    @staticmethod
-    def _normalize(value, data_type):
+    def __init__(self, value, data_type=None):
         if data_type is None:
             data_type = DataType.FLOAT if isinstance(value, float) else DataType.INT
-        if data_type is DataType.INT:
-            return int(value), data_type
-        return float(value), data_type
-
-    def __new__(cls, value=None, data_type=None):
-        context = current_context()
-        if context is None or value is None:
-            # value None is the pickle/deepcopy reconstruction path
-            # (protocol 2 calls ``cls.__new__(cls)``); state arrives via
-            # __setstate__ afterwards.
-            return object.__new__(cls)
-        key = cls._normalize(value, data_type)
-        interned = context.immediates.get(key)
-        if interned is not None:
-            context.count_hit(cls)
-            return interned
-        interned = object.__new__(cls)
-        context.immediates[key] = interned
-        context.count_created(cls)
-        return interned
-
-    def __init__(self, value=None, data_type=None):
-        self.value, self.data_type = self._normalize(value, data_type)
+        self.value = int(value) if data_type is DataType.INT else float(value)
+        self.data_type = data_type
 
     def __eq__(self, other):
         return (
@@ -106,26 +72,13 @@ class Immediate:
 class Label:
     """A branch target naming a basic block within a function.
 
-    Interned per build context by name; the name string itself is
-    interned so label comparison is effectively a pointer check.
+    Compared and hashed by name; the name string is ``sys.intern``-ed,
+    so the string compare is usually a pointer check.
     """
 
     __slots__ = ("name",)
 
-    def __new__(cls, name=None):
-        context = current_context()
-        if context is None or name is None:
-            return object.__new__(cls)
-        interned = context.labels.get(name)
-        if interned is not None:
-            context.count_hit(cls)
-            return interned
-        interned = object.__new__(cls)
-        context.labels[name] = interned
-        context.count_created(cls)
-        return interned
-
-    def __init__(self, name=None):
+    def __init__(self, name):
         self.name = sys.intern(name) if type(name) is str else name
 
     def __eq__(self, other):

@@ -23,21 +23,15 @@ from repro.machine.resources import (
 )
 from repro.machine.instruction import LongInstruction, MachineProgram
 from repro.machine.asm import format_asm
-from repro.machine.encoding import Decoder, EncodedProgram, Encoder, encode_program, packed_size_words
 
 __all__ = [
     "ALL_UNITS",
-    "Decoder",
-    "EncodedProgram",
-    "Encoder",
     "FunctionalUnit",
     "LongInstruction",
     "MEMORY_UNITS",
     "MachineProgram",
     "bank_for_unit",
-    "encode_program",
     "format_asm",
-    "packed_size_words",
     "unit_for_bank",
     "units_for_class",
 ]

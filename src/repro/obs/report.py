@@ -98,7 +98,6 @@ def _configuration(workload, strategy, backend, top, verify=True):
             compile_span.duration if compile_span is not None else None
         ),
         "compile_passes": _pass_rows(recorder),
-        "nodes": getattr(compiled.program.module, "node_stats", None),
         "profile": profile.to_dict(top),
     }
 

@@ -17,7 +17,8 @@ Job schema (``kind`` selects the payload)::
     {"kind": "stats"}
 
 A ``recipe`` is either a full fuzz recipe (it has a ``body``) or a
-generator spec ``{"seed": N[, "max_statements": K]}``.
+generator spec ``{"seed": N[, "max_statements": K]}`` with integer ``N``
+and ``K`` in ``1..MAX_GENERATED_STATEMENTS``.
 
 Error taxonomy — the ``category`` field of ``error`` events maps
 one-to-one from :mod:`repro.sim.errors`:
@@ -52,6 +53,11 @@ JOB_KINDS = ("run", "recipe")
 #: hard per-line budget — a submission larger than this is rejected
 #: before parsing (protects the service from unbounded buffering)
 MAX_LINE_BYTES = 4 * 1024 * 1024
+
+#: largest ``max_statements`` a generator spec may ask for: build and
+#: compile work grows faster than the statement count, and a spec runs
+#: inside the serve process
+MAX_GENERATED_STATEMENTS = 64
 
 #: every top-level field a job submission may carry; anything else is
 #: a typo or a version skew and is rejected with a ``protocol`` error
@@ -95,6 +101,38 @@ def _require_name(job, field, table, label):
             field=field,
         )
     return value
+
+
+def _check_recipe(recipe):
+    """Reject a recipe dict the compiler could only fail on: a full
+    recipe must parse, and a generator spec needs an integer seed (a
+    ``None`` seed would draw a new program on every run) and a
+    ``max_statements`` in ``1..MAX_GENERATED_STATEMENTS``.  The dict
+    itself is kept as sent, so job keys do not move."""
+    if "body" in recipe:
+        from repro.fuzz.generator import Recipe
+
+        try:
+            Recipe.from_dict(recipe)
+        except (KeyError, TypeError, ValueError) as error:
+            raise JobError(
+                "malformed recipe (%s: %s)" % (type(error).__name__, error),
+                field="recipe",
+            )
+    elif "seed" in recipe:
+        if type(recipe["seed"]) is not int:
+            raise JobError("a generator seed must be an integer", field="recipe")
+        count = recipe.get("max_statements", 6)
+        if type(count) is not int or not 1 <= count <= MAX_GENERATED_STATEMENTS:
+            raise JobError(
+                "max_statements must be an integer in 1..%d"
+                % MAX_GENERATED_STATEMENTS,
+                field="recipe",
+            )
+    else:
+        raise JobError(
+            "a recipe needs a body or a generator seed", field="recipe"
+        )
 
 
 def validate_job(obj):
@@ -161,10 +199,7 @@ def validate_job(obj):
         recipe = obj.get("recipe")
         if not isinstance(recipe, dict):
             raise JobError("recipe jobs need a recipe dict", field="recipe")
-        if "body" not in recipe and "seed" not in recipe:
-            raise JobError(
-                "a recipe needs a body or a generator seed", field="recipe"
-            )
+        _check_recipe(recipe)
         job["recipe"] = recipe
     return job
 

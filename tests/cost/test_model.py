@@ -62,33 +62,3 @@ def test_partitioning_does_not_change_data_size():
     base, _ = _measured(Strategy.SINGLE_BANK)
     cb, _ = _measured(Strategy.CB)
     assert base.data_x + base.data_y == cb.data_x + cb.data_y
-
-
-def test_packed_code_option_changes_instruction_charge():
-    from repro.compiler import compile_module
-    from repro.frontend import ProgramBuilder
-    from repro.sim.simulator import Simulator
-
-    pb = ProgramBuilder("t")
-    a = pb.global_array("a", 8, float, init=[1.0] * 8)
-    out = pb.global_scalar("out", float)
-    with pb.function("main") as f:
-        acc = f.float_var("acc")
-        f.assign(acc, 0.0)
-        with f.loop(8) as i:
-            f.assign(acc, acc + a[i] * 1.0)
-        f.assign(out[0], acc)
-    compiled = compile_module(pb.build(), strategy=Strategy.CB)
-    sim = Simulator(compiled.program)
-    result = sim.run()
-    flat = CostModel().measure(compiled, result)
-    packed = CostModel(packed_code=True).measure(compiled, result)
-    assert flat.instructions == compiled.code_size
-    assert packed.instructions != flat.instructions
-    assert packed.instructions > 0
-    # Data and stack terms are untouched by the encoding choice.
-    assert (packed.data_x, packed.data_y, packed.stack) == (
-        flat.data_x,
-        flat.data_y,
-        flat.stack,
-    )

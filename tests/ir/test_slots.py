@@ -14,7 +14,6 @@ import pytest
 import repro.frontend.builder
 import repro.frontend.expressions
 import repro.ir.block
-import repro.ir.intern
 import repro.ir.operations
 import repro.ir.symbols
 import repro.ir.values
@@ -24,7 +23,6 @@ NODE_MODULES = (
     repro.ir.values,
     repro.ir.symbols,
     repro.ir.block,
-    repro.ir.intern,
     repro.frontend.expressions,
     repro.frontend.builder,
 )

@@ -89,12 +89,33 @@ def test_recipe_jobs_need_a_recipe_dict():
     with pytest.raises(JobError) as info:
         validate_job({"kind": "recipe", "recipe": "seed=3"})
     assert info.value.field == "recipe"
-    # a dict with neither a body nor a generator seed names no program
-    with pytest.raises(JobError) as info:
-        validate_job({"kind": "recipe", "recipe": {}})
-    assert info.value.field == "recipe"
+    for recipe in (
+        {},  # neither a body nor a generator seed names no program
+        # a full recipe that does not parse
+        {"body": 42},
+        {"arrays": [4], "body": 42},
+        {"arrays": "x", "body": []},
+        # a generator spec asking for too much work, or not a count
+        {"seed": 3, "max_statements": protocol.MAX_GENERATED_STATEMENTS + 1},
+        {"seed": 3, "max_statements": 0},
+        {"seed": 3, "max_statements": "x"},
+        {"seed": 3, "max_statements": True},
+        # a seed the generator cannot use, or that draws a new program
+        # on every run
+        {"seed": [1]},
+        {"seed": None},
+        {"seed": True},
+    ):
+        with pytest.raises(JobError) as info:
+            validate_job({"kind": "recipe", "recipe": recipe})
+        assert info.value.field == "recipe", recipe
     job = validate_job({"kind": "recipe", "recipe": {"seed": 3}})
     assert job["recipe"] == {"seed": 3}
+    largest = {"seed": 3, "max_statements": protocol.MAX_GENERATED_STATEMENTS}
+    assert validate_job({"kind": "recipe", "recipe": largest})["recipe"] is largest
+    # a full recipe is kept exactly as sent, so job keys do not move
+    sent = {"arrays": [4], "body": [], "extra": 1}
+    assert validate_job({"kind": "recipe", "recipe": sent})["recipe"] is sent
 
 
 def test_decode_rejects_non_objects_and_bad_json():

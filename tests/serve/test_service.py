@@ -222,7 +222,8 @@ def test_a_compile_failure_faults_only_its_own_group(tmp_path):
     """A recipe that cannot compile errors at the compile stage without
     touching the healthy group dispatched in the same round, and each
     resubmission compiles and fails again: nothing fails it fast."""
-    bad = {"kind": "recipe", "recipe": {"body": 42}}
+    # parses, so it passes validation, but names no statement kind
+    bad = {"kind": "recipe", "recipe": {"arrays": [4], "body": [["nope"]]}}
     good = {"kind": "run", "workload": "fir_32_1", "id": "good"}
 
     def body(service, host, port):

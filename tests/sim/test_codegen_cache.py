@@ -21,6 +21,7 @@ import pytest
 
 from repro.compiler import compile_module
 from repro.frontend import ProgramBuilder
+from repro.ir.values import Immediate, Label
 from repro.partition.strategies import Strategy
 from repro.serve.store import ArtifactStore
 from repro.sim import codegen_stats, fastsim, make_simulator
@@ -276,6 +277,16 @@ def test_memo_stays_at_its_cap_and_recompiles_identically():
     assert len(fastsim._code_memo) == cap
 
 
+def _constant_operands(program):
+    return [
+        operand
+        for instruction in program.instructions
+        for _unit, op in instruction
+        for operand in op.sources + (op.target,)
+        if isinstance(operand, (Immediate, Label))
+    ]
+
+
 def test_store_round_trip_runs_without_memo_misses(tmp_path):
     """A program unpickled from the serve store arrives without its
     codegen cache, regenerates its sources and compiles none of them."""
@@ -285,6 +296,10 @@ def test_store_round_trip_runs_without_memo_misses(tmp_path):
     store.put({"test": "memo"}, compiled)
     loaded = store.get({"test": "memo"})
     assert "_codegen_cache" not in vars(loaded.program)
+    # immediates and labels come back equal: same value, type and name
+    operands = _constant_operands(loaded.program)
+    assert operands == _constant_operands(compiled.program)
+    assert {type(operand) for operand in operands} == {Immediate, Label}
     before = codegen_stats()
     assert _run(loaded.program)[1] == expected
     delta = _memo_delta(before)
