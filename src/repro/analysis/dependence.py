@@ -28,6 +28,10 @@ from repro.ir.values import Immediate
 class DepKind(enum.Enum):
     """Dependence kinds: flow (RAW), anti (WAR), output (WAW)."""
 
+    # Members are singletons: hash by identity in C, not by Enum's
+    # Python-level hash of the member name.
+    __hash__ = object.__hash__
+
     FLOW = "flow"
     ANTI = "anti"
     OUTPUT = "output"
@@ -46,15 +50,18 @@ class DependenceGraph:
     def __init__(self, ops):
         self.ops = list(ops)
         n = len(self.ops)
-        self.succs = [dict() for _ in range(n)]
-        self.preds = [dict() for _ in range(n)]
+        self.succs = [{} for _ in range(n)]
+        self.preds = [{} for _ in range(n)]
         self._priority = None
 
     def add_edge(self, src, dst, kind):
         if src == dst:
             raise ValueError("self-dependence at op %d" % src)
-        self.succs[src].setdefault(dst, set()).add(kind)
-        self.preds[dst].setdefault(src, set()).add(kind)
+        kinds = self.succs[src].get(dst)
+        if kinds is None:
+            # preds mirrors succs, so one set serves both directions
+            kinds = self.succs[src][dst] = self.preds[dst][src] = set()
+        kinds.add(kind)
 
     def has_edge(self, src, dst, kind=None):
         kinds = self.succs[src].get(dst)
@@ -83,6 +90,7 @@ class DependenceGraph:
         if self._priority is not None:
             return self._priority
         n = len(self.ops)
+        # descendant sets as int bitmasks: bit i set when op i is reached
         descendants = [None] * n
         visiting = [False] * n
 
@@ -92,17 +100,16 @@ class DependenceGraph:
             if visiting[node]:
                 raise ValueError("cycle in dependence graph at op %d" % node)
             visiting[node] = True
-            reached = set()
+            reached = 0
             for succ in self.succs[node]:
-                reached.add(succ)
-                reached.update(visit(succ))
+                reached |= (1 << succ) | visit(succ)
             visiting[node] = False
             descendants[node] = reached
             return reached
 
         for node in range(n):
             visit(node)
-        self._priority = [len(descendants[i]) for i in range(n)]
+        self._priority = [mask.bit_count() for mask in descendants]
         return self._priority
 
     def __len__(self):
@@ -147,14 +154,12 @@ def _constant_address(op):
 def build_dependence_graph(ops):
     """Build the :class:`DependenceGraph` for one block's operation list."""
     graph = DependenceGraph(ops)
-    n = len(graph.ops)
     last_writer = {}
     readers_since_write = {}
     memory_ops = []
     barrier_ops = []
 
-    for i in range(n):
-        op = graph.ops[i]
+    for i, op in enumerate(graph.ops):
         is_barrier = op.opcode is OpCode.CALL
 
         for reg in op.reads():
@@ -162,7 +167,8 @@ def build_dependence_graph(ops):
             if writer is not None and writer != i:
                 graph.add_edge(writer, i, DepKind.FLOW)
             readers_since_write.setdefault(reg, []).append(i)
-        for reg in op.writes():
+        reg = op.dest  # the one register an operation writes
+        if reg is not None:
             writer = last_writer.get(reg)
             if writer is not None and writer != i:
                 graph.add_edge(writer, i, DepKind.OUTPUT)

@@ -75,8 +75,8 @@ def compute_liveness(function):
             for reg in op.reads():
                 if reg not in def_set:
                     use_set.add(reg)
-            for reg in op.writes():
-                def_set.add(reg)
+            if op.dest is not None:
+                def_set.add(op.dest)
         uses[block.label] = use_set
         defs[block.label] = def_set
 
@@ -115,24 +115,32 @@ def compute_liveness(function):
             pos += 1
         block_range[block.label] = (start, max(start, pos - 1))
 
-    intervals = {}
-
-    def extend(reg, position):
-        lo, hi = intervals.get(reg, (position, position))
-        intervals[reg] = (min(lo, position), max(hi, position))
-
+    # Blocks and their operations are visited in linear order, each
+    # block's live-in registers at its first position and its live-out
+    # registers at its last, so positions never decrease: a register's
+    # first position is its interval start and its last the end.
+    lo = {}
+    hi = {}
     for block in blocks:
         start, end = block_range[block.label]
         for reg in live_in[block.label]:
-            extend(reg, start)
-        for reg in live_out[block.label]:
-            extend(reg, end)
-        for op in block.ops:
-            position = positions[id(op)]
+            if reg not in lo:
+                lo[reg] = start
+            hi[reg] = start
+        for position, op in enumerate(block.ops, start):
             for reg in op.reads():
-                extend(reg, position)
-            for reg in op.writes():
-                extend(reg, position)
+                if reg not in lo:
+                    lo[reg] = position
+                hi[reg] = position
+            dest = op.dest
+            if dest is not None:
+                if dest not in lo:
+                    lo[dest] = position
+                hi[dest] = position
+        for reg in live_out[block.label]:
+            if reg not in lo:
+                lo[reg] = end
+            hi[reg] = end
 
     # Registers live around a hardware loop must survive the whole span.
     for span in spans.values():
@@ -143,8 +151,12 @@ def compute_liveness(function):
         loop_blocks = {blocks[i].label for i in span}
         for label in loop_blocks:
             for reg in live_in[label] | live_out[label]:
-                extend(reg, span_start)
-                extend(reg, span_end)
+                if span_start < lo[reg]:
+                    lo[reg] = span_start
+                if span_end > hi[reg]:
+                    hi[reg] = span_end
+
+    intervals = {reg: (start, hi[reg]) for reg, start in lo.items()}
 
     return LivenessInfo(
         {k: frozenset(v) for k, v in live_in.items()},

@@ -76,18 +76,19 @@ class _EmitPolicy(SchedulePolicy):
         return True
 
     def _memory_unit(self, op):
+        slots = self._current.slots
         if self.dual_ported:
             for unit in (FunctionalUnit.MU0, FunctionalUnit.MU1):
-                if self._current.unit_free(unit):
+                if unit not in slots:
                     return unit, None
             return None, None
         bank = op.bank
         if bank is MemoryBank.X:
             unit = FunctionalUnit.MU0
-            return (unit, None) if self._current.unit_free(unit) else (None, None)
+            return (unit, None) if unit not in slots else (None, None)
         if bank is MemoryBank.Y:
             unit = FunctionalUnit.MU1
-            return (unit, None) if self._current.unit_free(unit) else (None, None)
+            return (unit, None) if unit not in slots else (None, None)
         # Duplicated load: either copy works; prefer the bank with fewer
         # outstanding concrete-bank operations in this block.
         order = (
@@ -97,13 +98,15 @@ class _EmitPolicy(SchedulePolicy):
             else (FunctionalUnit.MU0, MemoryBank.X, FunctionalUnit.MU1, MemoryBank.Y)
         )
         first_unit, first_bank, second_unit, second_bank = order
-        if self._current.unit_free(first_unit):
+        if first_unit not in slots:
             return first_unit, first_bank
-        if self._current.unit_free(second_unit):
+        if second_unit not in slots:
             return second_unit, second_bank
         return None, None
 
     def try_place(self, index, op):
+        # Units are checked free first, so slots are written directly
+        # rather than through LongInstruction.add's occupancy check.
         if op.is_memory:
             if not self._lock_ok(index):
                 return False
@@ -114,16 +117,17 @@ class _EmitPolicy(SchedulePolicy):
                 op.bank = narrowed_bank
             elif not self.dual_ported and op.bank in (MemoryBank.X, MemoryBank.Y):
                 self.bank_pressure[op.bank] = self.bank_pressure.get(op.bank, 1) - 1
-            self._current.add(unit, op)
+            self._current.slots[unit] = op
             self.round_of[index] = len(self.instructions)
             if index in self._primary_shadow:
                 self._open_pairs.add(index)
             else:
                 self._open_pairs.discard(self._shadow_primary.get(index))
             return True
+        slots = self._current.slots
         for unit in units_for_class(op.unit):
-            if self._current.unit_free(unit):
-                self._current.add(unit, op)
+            if unit not in slots:
+                slots[unit] = op
                 self.round_of[index] = len(self.instructions)
                 return True
         return False

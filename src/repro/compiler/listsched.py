@@ -26,6 +26,7 @@ from scheduling; the compaction pass re-attaches them to the block's final
 instruction.
 """
 
+from repro.analysis.dependence import DepKind
 from repro.ir.operations import OpCode
 
 
@@ -86,18 +87,32 @@ def run_list_schedule(graph, policy):
     # hard successors.
     pending = dict.fromkeys(candidates, 0)
     hard_succs = {index: [] for index in candidates}
+    # A data-ready op's hard predecessors have all left `remaining`, and
+    # ops outside the candidates never enter it, so only anti-only
+    # predecessors among the candidates can keep an op out of the current
+    # instruction: it may join once each of them is placed, here or in
+    # an earlier instruction.
+    anti_preds = {}
     for index in candidates:
-        for pred in graph.hard_preds(index):
-            if pred in pending:
+        waits = anti_preds[index] = []
+        for pred, kinds in graph.preds[index].items():
+            if pred not in pending:
+                continue
+            if DepKind.FLOW in kinds or DepKind.OUTPUT in kinds:
                 pending[index] += 1
                 hard_succs[pred].append(index)
+            else:
+                waits.append(pred)
     data_ready = {index for index, count in pending.items() if not count}
-
-    def anti_ok(index, in_current):
-        for pred in graph.preds[index]:
-            if pred in remaining and pred not in in_current:
-                return False
-        return True
+    # position of each candidate in (priority descending, program order)
+    rank = {
+        index: position
+        for position, index in enumerate(
+            sorted(candidates, key=lambda i: (-priorities[i], i))
+        )
+    }
+    ops = graph.ops
+    try_place = policy.try_place
 
     while remaining:
         rounds += 1
@@ -112,7 +127,7 @@ def run_list_schedule(graph, policy):
         # round closes, so it already holds every op that can join this
         # instruction; passes repeat over it while they place ops, which
         # admits the anti-dependent followers of ops placed earlier.
-        drs = sorted(data_ready, key=lambda i: (-priorities[i], i))
+        drs = sorted(data_ready, key=rank.__getitem__)
         if not drs:
             raise RuntimeError("list scheduler made no progress (cyclic graph?)")
 
@@ -122,10 +137,13 @@ def run_list_schedule(graph, policy):
             for index in drs:
                 if index in in_current:
                     continue
-                if not anti_ok(index, in_current):
+                waits = anti_preds[index]
+                if waits and any(
+                    pred in remaining and pred not in in_current for pred in waits
+                ):
                     continue
-                op = graph.ops[index]
-                if policy.try_place(index, op):
+                op = ops[index]
+                if try_place(index, op):
                     in_current.add(index)
                     placed.append((index, op))
                     progress = True

@@ -180,7 +180,13 @@ def _linear_scan(intervals, candidates):
         active = []  # (end, reg, phys_number)
         for reg in regs:
             start, end = intervals[reg]
-            active = [entry for entry in active if not _expire(entry, start, free)]
+            # active is kept sorted by end, so the intervals that ended
+            # before this one starts are a prefix of it
+            expired = 0
+            while expired < len(active) and active[expired][0] < start:
+                free.append(active[expired][2])
+                expired += 1
+            del active[:expired]
             if free:
                 number = free.pop(0)
                 assignment[reg] = number
@@ -198,14 +204,6 @@ def _linear_scan(intervals, candidates):
                 else:
                     spilled.add(reg)
     return assignment, spilled
-
-
-def _expire(entry, start, free):
-    end, _reg, number = entry
-    if end < start:
-        free.append(number)
-        return True
-    return False
 
 
 def allocate_registers(function, module, dual_stacks):
@@ -237,10 +235,16 @@ def allocate_registers(function, module, dual_stacks):
         record.spill_count += 1
         slot_of[reg] = slot
 
-    def rewrite_reg(reg):
-        if reg.physical is not None:
-            return phys(reg.rclass, reg.physical)
-        return phys(reg.rclass, assignment[reg])
+    # Every register an operation names has an interval, so each one
+    # that is not spilled is renamed through this table.
+    renamed = {
+        reg: phys(
+            reg.rclass,
+            reg.physical if reg.physical is not None else assignment[reg],
+        )
+        for reg in liveness.intervals
+        if reg not in slot_of
+    }
 
     zero_index = Immediate(0, DataType.INT)
     for block in function.blocks:
@@ -275,7 +279,7 @@ def allocate_registers(function, module, dual_stacks):
                     scratch_in_use[key] = scratch
                     new_sources.append(scratch)
                 else:
-                    new_sources.append(rewrite_reg(src))
+                    new_sources.append(renamed[src])
             dest = op.dest
             if dest is not None:
                 if dest in slot_of:
@@ -312,7 +316,7 @@ def allocate_registers(function, module, dual_stacks):
                     )
                     dest = scratch
                 else:
-                    dest = rewrite_reg(dest)
+                    dest = renamed[dest]
                 record.written[dest.rclass].add(dest.physical)
             op.dest = dest
             op.sources = tuple(new_sources)

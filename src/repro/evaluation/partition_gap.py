@@ -46,16 +46,17 @@ def measure_gap(name, backend="interp"):
     from repro.workloads.registry import get_workload
 
     workload = get_workload(name)
+    expected = workload.expected()
     baseline, _compiled, _result = _run_once(
         workload, CompileOptions(strategy=Strategy.SINGLE_BANK),
-        backend=backend,
+        backend=backend, expected=expected,
     )
     per_partitioner = {}
     graph_nodes = None
     for partitioner in sorted(PARTITIONERS):
         options = CompileOptions(strategy=GAP_STRATEGY, partitioner=partitioner)
         measurement, compiled, _result = _run_once(
-            workload, options, backend=backend
+            workload, options, backend=backend, expected=expected
         )
         partition = compiled.allocation.partition
         graph_nodes = len(compiled.allocation.graph)

@@ -159,12 +159,15 @@ def compile_workload(source, options, cache=None, profile=None):
 
 
 def _run_once(workload, options, profile=None, verify=True, backend="interp",
-              cache=None):
+              cache=None, expected=None):
+    """Compile, run and measure one configuration.  With *verify* the
+    run is checked against *expected*, the workload's reference outputs
+    (computed here when None)."""
     compiled = compile_workload(workload, options, cache, profile)
     simulator = make_simulator(compiled.program, backend=backend)
     result = simulator.run()
     if verify:
-        workload.verify(simulator)
+        workload.verify(simulator, expected)
     cost = CostModel().measure(compiled, result)
     duplicated = [s.name for s in compiled.allocation.duplicated]
     return (
@@ -184,12 +187,15 @@ def evaluate_workload(workload, strategies, verify=True, backend="interp",
     ``backend`` selects the simulator backend (``interp``, ``jit``, or
     ``batch`` — see :mod:`repro.sim`); ``cache`` is an optional dict
     used as a content-keyed compiled-program cache shared across
-    evaluations.
+    evaluations.  With *verify* the reference model
+    (``workload.expected()``) is computed once and every configuration's
+    run is checked against it.
     """
     measurements = {}
+    expected = workload.expected() if verify else None
     baseline, base_compiled, base_result = _run_once(
         workload, CompileOptions(strategy=Strategy.SINGLE_BANK),
-        verify=verify, backend=backend, cache=cache,
+        verify=verify, backend=backend, cache=cache, expected=expected,
     )
     measurements[Strategy.SINGLE_BANK] = baseline
     profile = None
@@ -200,7 +206,7 @@ def evaluate_workload(workload, strategies, verify=True, backend="interp",
             profile = collect_block_counts(base_compiled.program, base_result)
         measurement, _compiled, _result = _run_once(
             workload, CompileOptions(strategy=strategy), profile=profile,
-            verify=verify, backend=backend, cache=cache,
+            verify=verify, backend=backend, cache=cache, expected=expected,
         )
         measurements[strategy] = measurement
     return WorkloadEvaluation(workload.name, workload.category, measurements)

@@ -25,9 +25,14 @@ This package guards both generatively instead of by hand-picked cases:
     processes and writing failures to ``tests/fuzz_corpus/``.
 """
 
-from repro.fuzz.generator import Recipe, build_module, generate_recipe
+from repro.fuzz.generator import (
+    Recipe,
+    build_module,
+    generate_recipe,
+    statement_count,
+)
 from repro.fuzz.oracle import ORACLE_STRATEGIES, OracleViolation, check_recipe
-from repro.fuzz.shrink import emit_regression, shrink_recipe, statement_count
+from repro.fuzz.shrink import emit_regression, shrink_recipe
 
 __all__ = [
     "ORACLE_STRATEGIES",

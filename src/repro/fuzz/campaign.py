@@ -18,14 +18,9 @@ every recipe in the corpus directory).
 
 import os
 
-from repro.fuzz.generator import generate_recipe
+from repro.fuzz.generator import generate_recipe, statement_count
 from repro.fuzz.oracle import check_recipe
-from repro.fuzz.shrink import (
-    emit_regression,
-    recipe_tag,
-    shrink_recipe,
-    statement_count,
-)
+from repro.fuzz.shrink import emit_regression, recipe_tag, shrink_recipe
 
 #: default archive directory, relative to the repository root
 DEFAULT_CORPUS = os.path.join("tests", "fuzz_corpus")

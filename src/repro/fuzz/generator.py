@@ -114,16 +114,22 @@ class Recipe:
         return "<Recipe seed=%r arrays=%r statements=%d>" % (
             self.seed,
             self.arrays,
-            _count_body(self.body) + sum(len(h) for h in self.helpers),
+            statement_count(self),
         )
 
 
-def _count_body(body):
+def statement_count(recipe):
+    """Total statements in *recipe*: the main body, every nested body
+    and the helpers (whose statements go through the same emitters, so
+    they are counted the same way).  Iterative, so a deeply nested body
+    cannot exhaust the stack."""
     total = 0
-    for stmt in body:
-        total += 1
-        for nested in _nested_bodies(stmt):
-            total += _count_body(nested)
+    pending = [recipe.body, *recipe.helpers]
+    while pending:
+        body = pending.pop()
+        total += len(body)
+        for stmt in body:
+            pending.extend(_nested_bodies(stmt))
     return total
 
 

@@ -23,14 +23,7 @@ reach that still fails, ready for :func:`emit_regression`.
 import copy
 import hashlib
 
-from repro.fuzz.generator import Recipe, _count_body, _nested_bodies
-
-
-def statement_count(recipe):
-    """Total statements in the recipe (main body, nested, helpers)."""
-    return _count_body(recipe.body) + sum(
-        len(helper) for helper in recipe.helpers
-    )
+from repro.fuzz.generator import Recipe
 
 
 def shrink_recipe(recipe, is_failing, max_rounds=25):

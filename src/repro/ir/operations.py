@@ -20,11 +20,15 @@ operations into long (VLIW) instructions subject to these unit constraints.
 
 import enum
 
-from repro.ir.values import Label, is_register
+from repro.ir.values import Label, VirtualRegister
 
 
 class UnitClass(enum.Enum):
     """Functional-unit class an operation executes on."""
+
+    # Members are singletons: hash by identity in C, not by Enum's
+    # Python-level hash of the member name.
+    __hash__ = object.__hash__
 
     PCU = "PCU"
     MU = "MU"
@@ -38,6 +42,10 @@ class UnitClass(enum.Enum):
 
 class OpKind(enum.Enum):
     """Broad behavioural category used by analyses and the scheduler."""
+
+    # Members are singletons: hash by identity in C, not by Enum's
+    # Python-level hash of the member name.
+    __hash__ = object.__hash__
 
     COMPUTE = "compute"
     LOAD = "load"
@@ -73,6 +81,10 @@ class OpInfo:
 
 class OpCode(enum.Enum):
     """All opcodes of the model architecture."""
+
+    # Members are singletons: hash by identity in C, not by Enum's
+    # Python-level hash of the member name.
+    __hash__ = object.__hash__
 
     # Integer data units (DU)
     ADD = "add"
@@ -274,6 +286,13 @@ class Operation:
     locked:
         True for the interrupt-atomic store pair used to update duplicated
         data (paper Section 3.2: store-lock / store-unlock).
+
+    The opcode's static facts the compiler asks for on every pass —
+    ``unit``, ``is_memory`` and ``is_terminator`` — are resolved once
+    here and held in slots (``opcode`` never changes after
+    construction).  The :class:`OpInfo` itself stays in ``_OP_TABLE``:
+    its evaluators are lambdas, which would make compiled programs
+    unpicklable.
     """
 
     __slots__ = (
@@ -286,6 +305,9 @@ class Operation:
         "bank",
         "locked",
         "shadow",
+        "unit",
+        "is_memory",
+        "is_terminator",
     )
 
     def __init__(
@@ -322,14 +344,14 @@ class Operation:
         self.locked = locked
         #: True for the second (integrity) store of a duplicated-data update.
         self.shadow = shadow
+        #: :class:`UnitClass` this operation executes on.
+        self.unit = info.unit
+        self.is_memory = opcode is OpCode.LOAD or opcode is OpCode.STORE
+        self.is_terminator = opcode in TERMINATORS
 
     @property
     def info(self):
         return _OP_TABLE[self.opcode]
-
-    @property
-    def unit(self):
-        return _OP_TABLE[self.opcode].unit
 
     @property
     def is_load(self):
@@ -340,16 +362,8 @@ class Operation:
         return self.opcode is OpCode.STORE
 
     @property
-    def is_memory(self):
-        return self.opcode is OpCode.LOAD or self.opcode is OpCode.STORE
-
-    @property
     def is_control(self):
         return _OP_TABLE[self.opcode].kind is OpKind.CONTROL
-
-    @property
-    def is_terminator(self):
-        return self.opcode in TERMINATORS
 
     def reads(self):
         """Virtual registers read by this operation.
@@ -357,7 +371,7 @@ class Operation:
         ``FMAC`` additionally reads its destination (accumulator input),
         which is what creates the loop-carried dependence in MAC loops.
         """
-        regs = [s for s in self.sources if is_register(s)]
+        regs = [s for s in self.sources if isinstance(s, VirtualRegister)]
         if self.opcode is OpCode.FMAC:
             regs.append(self.dest)
         return regs

@@ -23,6 +23,10 @@ class Storage(enum.Enum):
     never occupy memory and are excluded from partitioning.
     """
 
+    # Members are singletons: hash by identity in C, not by Enum's
+    # Python-level hash of the member name.
+    __hash__ = object.__hash__
+
     GLOBAL = "global"
     LOCAL = "local"
     PARAM = "param"
@@ -36,6 +40,10 @@ class MemoryBank(enum.Enum):
     a copy lives in each bank, loads may be served from either, and stores
     must update both copies.
     """
+
+    # Members are singletons: hash by identity in C, not by Enum's
+    # Python-level hash of the member name.
+    __hash__ = object.__hash__
 
     X = "X"
     Y = "Y"

@@ -12,6 +12,10 @@ import enum
 class DataType(enum.Enum):
     """Type of a value stored in a register or a memory word."""
 
+    # Members are singletons: hash by identity in C, not by Enum's
+    # Python-level hash of the member name.
+    __hash__ = object.__hash__
+
     INT = "int"
     FLOAT = "float"
 
@@ -31,6 +35,10 @@ class RegClass(enum.Enum):
     operations; ``INT`` registers feed the integer data units (DU0/DU1);
     ``FLOAT`` registers feed the floating-point units (FPU0/FPU1).
     """
+
+    # Members are singletons: hash by identity in C, not by Enum's
+    # Python-level hash of the member name.
+    __hash__ = object.__hash__
 
     ADDR = "a"
     INT = "r"

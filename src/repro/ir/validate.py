@@ -19,11 +19,19 @@ def _fail(where, message):
     raise IRValidationError("%s: %s" % (where, message))
 
 
-def _check_register_class(where, op, reg, expected):
+class _OperationError(Exception):
+    """An operation-level problem; :func:`validate_function` adds where
+    it is, so the location string is only formatted on failure."""
+
+
+def _op_fail(message):
+    raise _OperationError(message)
+
+
+def _check_register_class(op, reg, expected):
     if reg.rclass is not expected:
-        _fail(
-            where,
-            "%s expects %s register, got %r" % (op.opcode.name, expected.name, reg),
+        _op_fail(
+            "%s expects %s register, got %r" % (op.opcode.name, expected.name, reg)
         )
 
 
@@ -41,14 +49,19 @@ def _expected_dest_class(opcode):
     return RegClass.INT
 
 
-def validate_operation(where, op, function, module):
+_DEST_CLASS = {opcode: _expected_dest_class(opcode) for opcode in OpCode}
+
+
+def validate_operation(op, function, module):
+    """Check one operation; its problems raise an error that
+    :func:`validate_function` turns into a located
+    :class:`IRValidationError`."""
     if op.opcode is OpCode.LOAD or op.opcode is OpCode.STORE:
         if op.symbol is None:
-            _fail(where, "memory operation without a symbol")
+            _op_fail("memory operation without a symbol")
         expected_min = 1 if op.opcode is OpCode.LOAD else 2
         if not expected_min <= len(op.sources) <= expected_min + 1:
-            _fail(
-                where,
+            _op_fail(
                 "%s takes %d or %d sources, got %d"
                 % (op.opcode.name, expected_min, expected_min + 1, len(op.sources)),
             )
@@ -56,21 +69,20 @@ def validate_operation(where, op, function, module):
             if operand is None:
                 continue
             if is_register(operand):
-                _check_register_class(where, op, operand, RegClass.ADDR)
+                _check_register_class(op, operand, RegClass.ADDR)
             elif not isinstance(operand, Immediate):
-                _fail(where, "address operand must be register or immediate")
+                _op_fail("address operand must be register or immediate")
         index = op.index_operand()
         sym = op.symbol
         if sym.storage is Storage.PARAM:
-            _fail(where, "memory operation on PARAM symbol %r" % sym.name)
+            _op_fail("memory operation on PARAM symbol %r" % sym.name)
         if sym.storage is Storage.LOCAL and sym.function != function.name:
-            _fail(
-                where,
+            _op_fail(
                 "local symbol %r of %r accessed from %r"
                 % (sym.name, sym.function, function.name),
             )
         if sym.storage is Storage.GLOBAL and sym.name not in module.globals:
-            _fail(where, "unknown global %r" % sym.name)
+            _op_fail("unknown global %r" % sym.name)
         offset = op.offset_operand()
         if (
             isinstance(index, Immediate)
@@ -78,30 +90,27 @@ def validate_operation(where, op, function, module):
         ):
             total = index.value + (offset.value if offset is not None else 0)
             if not 0 <= total < sym.size:
-                _fail(
-                    where,
+                _op_fail(
                     "constant index %d out of bounds for %s[%d]"
                     % (total, sym.name, sym.size),
                 )
     elif op.opcode is OpCode.CALL:
         if op.callee not in module.functions:
-            _fail(where, "call to unknown function %r" % op.callee)
+            _op_fail("call to unknown function %r" % op.callee)
         callee = module.functions[op.callee]
         if len(op.sources) != len(callee.params):
-            _fail(
-                where,
+            _op_fail(
                 "call to %s passes %d args, expected %d"
                 % (op.callee, len(op.sources), len(callee.params)),
             )
     elif op.opcode in (OpCode.BR, OpCode.BRT, OpCode.BRF):
         if op.target is None:
-            _fail(where, "branch without target")
+            _op_fail("branch without target")
     if op.dest is not None:
         if not isinstance(op.dest, VirtualRegister):
-            _fail(where, "destination must be a virtual register")
+            _op_fail("destination must be a virtual register")
         if not op.is_load and op.opcode is not OpCode.CALL:
-            expected = _expected_dest_class(op.opcode)
-            _check_register_class(where, op, op.dest, expected)
+            _check_register_class(op, op.dest, _DEST_CLASS[op.opcode])
 
 
 def validate_function(function, module):
@@ -114,11 +123,16 @@ def validate_function(function, module):
             _fail(function.name, "duplicate block label %r" % block.label)
         labels.add(block.label)
     for block in function.blocks:
+        last = len(block.ops) - 1
         for i, op in enumerate(block.ops):
-            where = "%s/%s/#%d" % (function.name, block.label, i)
-            if op.is_terminator and i != len(block.ops) - 1:
-                _fail(where, "terminator %s not last in block" % op.opcode.name)
-            validate_operation(where, op, function, module)
+            try:
+                if op.is_terminator and i != last:
+                    _op_fail("terminator %s not last in block" % op.opcode.name)
+                validate_operation(op, function, module)
+            except _OperationError as error:
+                raise IRValidationError(
+                    "%s/%s/#%d: %s" % (function.name, block.label, i, error)
+                ) from None
         for label in block.successor_labels():
             if label not in labels:
                 _fail(block.label, "branch to unknown label %r" % label)

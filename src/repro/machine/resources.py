@@ -9,6 +9,10 @@ from repro.ir.symbols import MemoryBank
 class FunctionalUnit(enum.Enum):
     """One of the nine functional units of paper Figure 2."""
 
+    # Members are singletons: hash by identity in C, not by Enum's
+    # Python-level hash of the member name.
+    __hash__ = object.__hash__
+
     PCU = "PCU"
     MU0 = "MU0"
     MU1 = "MU1"

@@ -42,6 +42,10 @@ class Strategy(enum.Enum):
     """The data-allocation configurations (paper labels in the module
     docstring table above)."""
 
+    # Members are singletons: hash by identity in C, not by Enum's
+    # Python-level hash of the member name.
+    __hash__ = object.__hash__
+
     SINGLE_BANK = "single"
     CB = "cb"
     CB_PROFILE = "cb_profile"

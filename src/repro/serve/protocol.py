@@ -16,9 +16,10 @@ Job schema (``kind`` selects the payload)::
      "strategy": "CB", ...}
     {"kind": "stats"}
 
-A ``recipe`` is either a full fuzz recipe (it has a ``body``) or a
-generator spec ``{"seed": N[, "max_statements": K]}`` with integer ``N``
-and ``K`` in ``1..MAX_GENERATED_STATEMENTS``.
+A ``recipe`` is either a full fuzz recipe (it has a ``body``) of at
+most ``MAX_RECIPE_STATEMENTS`` statements, nested bodies and helpers
+included, or a generator spec ``{"seed": N[, "max_statements": K]}``
+with integer ``N`` and ``K`` in ``1..MAX_GENERATED_STATEMENTS``.
 
 Error taxonomy — the ``category`` field of ``error`` events maps
 one-to-one from :mod:`repro.sim.errors`:
@@ -58,6 +59,15 @@ MAX_LINE_BYTES = 4 * 1024 * 1024
 #: compile work grows faster than the statement count, and a spec runs
 #: inside the serve process
 MAX_GENERATED_STATEMENTS = 64
+
+#: largest statement count a full recipe may carry, nested bodies and
+#: helpers included, so a client cannot send as a full recipe the work a
+#: generator spec is refused.  Every ``generate_recipe(seed,
+#: MAX_GENERATED_STATEMENTS)`` fits by construction: each of its 64
+#: top-level statements holds at most 7 (a loop of two loops of two
+#: simple statements) and its two helpers at most 3 each, 64 * 7 + 2 * 3
+#: = 454.  Seeds 0..19,999 reach at most 124 (seed 8566).
+MAX_RECIPE_STATEMENTS = 454
 
 #: every top-level field a job submission may carry; anything else is
 #: a typo or a version skew and is rejected with a ``protocol`` error
@@ -104,19 +114,28 @@ def _require_name(job, field, table, label):
 
 
 def _check_recipe(recipe):
-    """Reject a recipe dict the compiler could only fail on: a full
-    recipe must parse, and a generator spec needs an integer seed (a
-    ``None`` seed would draw a new program on every run) and a
-    ``max_statements`` in ``1..MAX_GENERATED_STATEMENTS``.  The dict
-    itself is kept as sent, so job keys do not move."""
+    """Reject a recipe dict the compiler could only fail on, or that
+    asks for more work than a job may: a full recipe must parse and
+    carry at most ``MAX_RECIPE_STATEMENTS`` statements, and a generator
+    spec needs an integer seed (a ``None`` seed would draw a new program
+    on every run) and a ``max_statements`` in
+    ``1..MAX_GENERATED_STATEMENTS``.  The dict itself is kept as sent,
+    so job keys do not move."""
     if "body" in recipe:
-        from repro.fuzz.generator import Recipe
+        from repro.fuzz.generator import Recipe, statement_count
 
         try:
-            Recipe.from_dict(recipe)
-        except (KeyError, TypeError, ValueError) as error:
+            count = statement_count(Recipe.from_dict(recipe))
+        except (IndexError, KeyError, TypeError, ValueError) as error:
             raise JobError(
                 "malformed recipe (%s: %s)" % (type(error).__name__, error),
+                field="recipe",
+            )
+        if count > MAX_RECIPE_STATEMENTS:
+            raise JobError(
+                "a recipe may carry at most %d statements, nested bodies "
+                "and helpers included; this one has %d"
+                % (MAX_RECIPE_STATEMENTS, count),
                 field="recipe",
             )
     elif "seed" in recipe:

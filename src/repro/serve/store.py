@@ -40,8 +40,10 @@ from repro.obs.core import NULL_RECORDER
 
 #: bump when the entry format or pickled object layout changes — old
 #: entries then miss instead of unpickling garbage (2: BasicBlock grew
-#: __slots__, changing the pickled state shape of compiled programs)
-FORMAT_VERSION = 2
+#: __slots__, changing the pickled state shape of compiled programs;
+#: 3: Operation holds its unit, is_memory and is_terminator in slots,
+#: which an older entry's operations lack)
+FORMAT_VERSION = 3
 
 #: default byte cap for a store (512 MiB — thousands of compiled
 #: programs at the ~5 KiB each the registry workloads pickle to)

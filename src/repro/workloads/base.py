@@ -29,12 +29,16 @@ class Workload:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    def verify(self, simulator):
+    def verify(self, simulator, expected=None):
         """Check the simulator's final state against :meth:`expected`.
 
-        Raises ``AssertionError`` naming the first mismatching element.
+        A caller verifying several runs of one workload computes the
+        reference model once and passes it as *expected*.  Raises
+        ``AssertionError`` naming the first mismatching element.
         """
-        for name, want in self.expected().items():
+        if expected is None:
+            expected = self.expected()
+        for name, want in expected.items():
             got = simulator.read_global(name)
             if not isinstance(want, (list, tuple)):
                 want = [want]

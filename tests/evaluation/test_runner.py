@@ -64,6 +64,43 @@ def test_verification_failure_propagates():
         evaluate_workload(broken, [Strategy.CB])
 
 
+
+class _CountingFir(type(KERNELS["fir_32_1"])):
+    """fir_32_1 counting its reference-model computations; with
+    *corrupt* the first expected output is off by one."""
+
+    def __init__(self, corrupt=False):
+        super().__init__(32, 1)
+        self.corrupt = corrupt
+        self.expected_calls = 0
+
+    def expected(self):
+        self.expected_calls += 1
+        want = super().expected()
+        if self.corrupt:
+            name, values = next(iter(want.items()))
+            want[name] = [values[0] + 1.0] + list(values[1:])
+        return want
+
+
+def test_reference_model_computed_once_per_evaluation():
+    workload = _CountingFir()
+    strategies = [Strategy.CB, Strategy.CB_DUP, Strategy.IDEAL]
+    evaluate_workload(workload, strategies)
+    assert workload.expected_calls == 1
+    # once per call, not a cache that outlives it
+    evaluate_workload(workload, strategies)
+    assert workload.expected_calls == 2
+    evaluate_workload(workload, strategies, verify=False)
+    assert workload.expected_calls == 2
+
+
+def test_corrupted_reference_model_still_fails_verification():
+    workload = _CountingFir(corrupt=True)
+    with pytest.raises(AssertionError, match="fir_32_1"):
+        evaluate_workload(workload, [Strategy.CB])
+    assert workload.expected_calls == 1
+
 def _degenerate_evaluation(base_cycles, base_cost, cycles, cost):
     def measurement(strategy, cycle_count, total):
         return Measurement(

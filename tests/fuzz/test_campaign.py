@@ -53,7 +53,7 @@ def test_campaign_shrinks_and_archives_failures(tmp_path, monkeypatch):
         # Delta debugging against the injected oracle: at most the
         # offending dot plus one carrier statement (the main body is
         # never emptied entirely, so a dot inside a helper keeps one).
-        from repro.fuzz.shrink import statement_count
+        from repro.fuzz.generator import statement_count
 
         assert statement_count(failure.shrunk) <= 2
         assert _contains_dot(failure.shrunk.body) or any(

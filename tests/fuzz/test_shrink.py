@@ -11,13 +11,13 @@ shrink probes cost milliseconds, not compiles.
 import pytest
 
 from repro.fuzz import generator
-from repro.fuzz.generator import Recipe, build_module, generate_recipe
-from repro.fuzz.shrink import (
-    emit_regression,
-    recipe_tag,
-    shrink_recipe,
+from repro.fuzz.generator import (
+    Recipe,
+    build_module,
+    generate_recipe,
     statement_count,
 )
+from repro.fuzz.shrink import emit_regression, recipe_tag, shrink_recipe
 from repro.ir.interp import IRInterpreter
 
 

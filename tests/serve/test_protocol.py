@@ -118,6 +118,37 @@ def test_recipe_jobs_need_a_recipe_dict():
     assert validate_job({"kind": "recipe", "recipe": sent})["recipe"] is sent
 
 
+def test_full_recipes_are_bounded_like_generator_specs():
+    from repro.fuzz.generator import generate_recipe, statement_count
+
+    # the largest generated recipe at the generator-spec bound, over
+    # seeds 0..19,999, passes as a full recipe
+    largest = generate_recipe(8566, protocol.MAX_GENERATED_STATEMENTS)
+    assert statement_count(largest) == 124
+    sent = largest.to_dict()
+    assert validate_job({"kind": "recipe", "recipe": sent})["recipe"] is sent
+    # a recipe a generator spec could not ask for is refused up front
+    huge = generate_recipe(3, max_statements=1024)
+    assert statement_count(huge) > protocol.MAX_RECIPE_STATEMENTS
+    with pytest.raises(JobError) as info:
+        validate_job({"kind": "recipe", "recipe": huge.to_dict()})
+    assert info.value.field == "recipe"
+    assert "at most %d statements" % protocol.MAX_RECIPE_STATEMENTS in str(
+        info.value
+    )
+    # the bound counts nested bodies and helpers, not just the top level
+    scalar = ["scalar", 0, 1]
+    loop = ["loop", 0, [scalar, scalar]]
+    limit = protocol.MAX_RECIPE_STATEMENTS
+    at_limit = {"arrays": [4], "helpers": [[scalar]], "body": [loop] * 151}
+    assert 3 * 151 + 1 == limit
+    validate_job({"kind": "recipe", "recipe": at_limit})
+    over = dict(at_limit, helpers=[[scalar, scalar]])
+    with pytest.raises(JobError) as info:
+        validate_job({"kind": "recipe", "recipe": over})
+    assert info.value.field == "recipe"
+
+
 def test_decode_rejects_non_objects_and_bad_json():
     with pytest.raises(JobError):
         protocol.decode(b"[1, 2, 3]\n")

@@ -15,8 +15,10 @@ from repro.evaluation.runner import (
     module_fingerprint,
     profile_counts,
 )
+from repro.ir.operations import Operation
 from repro.obs.core import Recorder
 from repro.partition.strategies import Strategy
+from repro.serve import store as store_module
 from repro.serve.store import (
     FORMAT_VERSION,
     ArtifactStore,
@@ -119,6 +121,42 @@ def test_format_version_mismatch_reads_as_miss(tmp_path):
     _corrupt(path, bump_format)
     assert store.get(_key()) is None
     assert store.corrupt == 1
+
+
+#: Operation slots added at format 3; an entry from format 2 lacks them
+_FORMAT_3_OP_SLOTS = ("unit", "is_memory", "is_terminator")
+
+
+def _format_2_state(op):
+    """Pickled state of *op* in the format-2 layout."""
+    return None, {
+        name: getattr(op, name)
+        for name in Operation.__slots__
+        if name not in _FORMAT_3_OP_SLOTS
+    }
+
+
+def test_entry_from_the_previous_format_misses(tmp_path, monkeypatch):
+    """An entry written at format 2 holds operations without the op-fact
+    slots.  Read back it would fail on ``op.unit`` deep in a simulator,
+    so the format bump must make it a plain miss instead."""
+    assert FORMAT_VERSION == 3
+    key_args = ("0" * 64, options_signature(CompileOptions(strategy=Strategy.CB)))
+    store = ArtifactStore(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(store_module, "FORMAT_VERSION", 2)
+        patch.setattr(Operation, "__getstate__", _format_2_state, raising=False)
+        store.put(compile_key(*key_args), _compiled())
+        stale = store.get(compile_key(*key_args))
+    op = stale.program.instructions[0].ops[0]
+    with pytest.raises(AttributeError):
+        op.unit
+    assert store.get(compile_key(*key_args)) is None
+    assert (store.misses, store.corrupt) == (1, 0)
+    # the recompile then stores and reads back at the current format
+    store.put(compile_key(*key_args), _compiled())
+    fresh = store.get(compile_key(*key_args))
+    assert fresh.program.instructions[0].ops[0].unit is op.info.unit
 
 
 def test_corrupted_compile_cache_recompiles(tmp_path):
@@ -255,16 +293,18 @@ def test_profile_counts_key_the_entry():
     assert bare != profiled
 
 
-#: store entry id of a fixed ``CB_PROFILE`` compile key, as stores
-#: written before the memory tier keyed compiles by their full options
-#: signature addressed it; a key refactor that changes it would orphan
-#: every existing store
+#: store entry id of a fixed ``CB_PROFILE`` compile key at format 3.
+#: The key shape is the one stores used before the memory tier keyed
+#: compiles by their full options signature; a format bump changes the
+#: id on purpose (old entries must miss), any other key refactor that
+#: changes it would orphan every existing store
 STABLE_PROFILE_ENTRY = (
-    "b95eeb12204f27e32b233d83757714f9af0f1454c8b5c6aa7e09958a964bc1ba"
+    "c6488bca065d697c5237fe075250d8afc89a6f378aad0df2de549f4e50c781ea"
 )
 
 
 def test_persistent_key_shape_is_stable():
+    assert FORMAT_VERSION == 3
     signature = options_signature(CompileOptions(strategy=Strategy.CB_PROFILE))
     memory_key = ("0" * 64, signature, (("b0", 3),))
     persistent = CompileCache.persistent_key(memory_key)
