@@ -40,8 +40,6 @@ class CompileOptions:
         profile_counts=None,
         interrupt_safe=True,
         software_pipelining=False,
-        optimize=False,
-        unroll_factor=1,
         observe=None,
         partitioner=DEFAULT_PARTITIONER,
     ):
@@ -54,10 +52,6 @@ class CompileOptions:
         #: Optional :class:`~repro.obs.core.Recorder` collecting per-pass
         #: spans; None means the shared no-op recorder.
         self.observe = observe
-        #: Run dead-code elimination before register allocation.
-        self.optimize = optimize
-        #: Replicate eligible inner-loop bodies this many times.
-        self.unroll_factor = unroll_factor
         #: Pre-load inner-loop operands across iterations (paper Figure 1
         #: style).  Off by default: the paper's measured configurations
         #: use the plain compaction schedule.
@@ -87,10 +81,10 @@ def options_signature(options):
     Returns a tuple of ``(name, value)`` pairs covering every option
     that changes the emitted program: the strategy, the partitioner
     (two partitioners can produce two different cuts, so they must
-    never share a cache entry), and the optional passes.
-    ``profile_counts`` and ``observe`` are
-    deliberately absent — profile counts are keyed separately (they are
-    inputs, not options) and a recorder never changes the output.
+    never share a cache entry), and software pipelining.
+    ``profile_counts`` and ``observe`` are deliberately absent — profile
+    counts are keyed separately (they are inputs, not options) and a
+    recorder never changes the output.
 
     This is the canonical compile half of a persistent artifact-store
     key (:mod:`repro.serve.store`); any new ``CompileOptions`` field
@@ -101,8 +95,6 @@ def options_signature(options):
         ("strategy", options.strategy.name),
         ("interrupt_safe", bool(options.interrupt_safe)),
         ("software_pipelining", bool(options.software_pipelining)),
-        ("optimize", bool(options.optimize)),
-        ("unroll_factor", int(options.unroll_factor)),
         ("partitioner", options.partitioner),
     )
 
@@ -143,18 +135,6 @@ def compile_module(module, options=None, **kwargs):
             )
         dual_stacks = options.strategy is not Strategy.SINGLE_BANK
 
-        if options.unroll_factor > 1:
-            from repro.compiler.unroll import unroll_inner_loops
-
-            with observe.span("unroll") as span:
-                before = _operation_count(module)
-                unroll_inner_loops(module, options.unroll_factor)
-                span.set(
-                    factor=options.unroll_factor,
-                    operations_before=before,
-                    operations_after=_operation_count(module),
-                )
-
         pipelining = None
         if options.software_pipelining:
             from repro.compiler.pipelining import pipeline_inner_loops
@@ -162,17 +142,6 @@ def compile_module(module, options=None, **kwargs):
             with observe.span("pipelining") as span:
                 before = _operation_count(module)
                 pipelining = pipeline_inner_loops(module)
-                span.set(
-                    operations_before=before,
-                    operations_after=_operation_count(module),
-                )
-
-        if options.optimize:
-            from repro.compiler.optimize import eliminate_dead_code
-
-            with observe.span("optimize") as span:
-                before = _operation_count(module)
-                eliminate_dead_code(module)
                 span.set(
                     operations_before=before,
                     operations_after=_operation_count(module),

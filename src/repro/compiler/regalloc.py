@@ -206,6 +206,21 @@ def _linear_scan(intervals, candidates):
     return assignment, spilled
 
 
+def _scan(function):
+    """Liveness and linear scan over *function*'s virtual registers."""
+    liveness = compute_liveness(function)
+    candidates = [
+        reg for reg in liveness.intervals if reg.physical is None
+    ]
+    return liveness, *_linear_scan(liveness.intervals, candidates)
+
+
+def spill_count(function):
+    """How many virtual registers linear scan would spill in *function*
+    as it stands (a trial for passes that run before allocation)."""
+    return len(_scan(function)[2])
+
+
 def allocate_registers(function, module, dual_stacks):
     """Allocate *function*'s virtual registers; returns an
     :class:`AllocationRecord`.  Operands are rewritten in place to
@@ -214,11 +229,7 @@ def allocate_registers(function, module, dual_stacks):
     record = AllocationRecord()
     _insert_abi_moves(function, module)
 
-    liveness = compute_liveness(function)
-    candidates = [
-        reg for reg in liveness.intervals if reg.physical is None
-    ]
-    assignment, spilled = _linear_scan(liveness.intervals, candidates)
+    liveness, assignment, spilled = _scan(function)
 
     alternator = _BankAlternator(dual_stacks)
     slot_of = {}

@@ -42,8 +42,9 @@ from repro.obs.core import NULL_RECORDER
 #: entries then miss instead of unpickling garbage (2: BasicBlock grew
 #: __slots__, changing the pickled state shape of compiled programs;
 #: 3: Operation holds its unit, is_memory and is_terminator in slots,
-#: which an older entry's operations lack)
-FORMAT_VERSION = 3
+#: which an older entry's operations lack; 4: the options signature lost
+#: the pairs of the deleted dead-code-elimination and unrolling passes)
+FORMAT_VERSION = 4
 
 #: default byte cap for a store (512 MiB — thousands of compiled
 #: programs at the ~5 KiB each the registry workloads pickle to)
@@ -62,7 +63,7 @@ def compile_key(fingerprint, options_sig, profile_key=None):
     ``fingerprint`` is the :func:`~repro.evaluation.runner.module_fingerprint`
     content hash, ``options_sig`` the
     :func:`~repro.compiler.pipeline.options_signature` pairs (strategy,
-    cut heuristic, optional passes), ``profile_key`` the
+    cut heuristic, software pipelining), ``profile_key`` the
     frozen profile counts a ``Pr`` compile consumed (None otherwise).
     ``format`` pins :data:`FORMAT_VERSION` so layout changes invalidate
     old entries wholesale.

@@ -63,13 +63,13 @@ def test_allocate_span_nests_graph_build_and_partition(dot_product_module):
 
 def test_optional_passes_appear_only_when_enabled(dot_product_module):
     recorder, _compiled = _spans_for(
-        dot_product_module(), strategy=Strategy.CB, unroll_factor=2
+        dot_product_module(), strategy=Strategy.CB, software_pipelining=True
     )
     compile_span = recorder.find("compile")
     names = [child.name for child in compile_span.children]
-    assert "unroll" in names
-    unroll = recorder.find("unroll")
-    assert unroll.metrics["operations_after"] >= unroll.metrics[
+    assert "pipelining" in names
+    pipelining = recorder.find("pipelining")
+    assert pipelining.metrics["operations_after"] >= pipelining.metrics[
         "operations_before"
     ]
 

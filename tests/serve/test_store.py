@@ -140,7 +140,7 @@ def test_entry_from_the_previous_format_misses(tmp_path, monkeypatch):
     """An entry written at format 2 holds operations without the op-fact
     slots.  Read back it would fail on ``op.unit`` deep in a simulator,
     so the format bump must make it a plain miss instead."""
-    assert FORMAT_VERSION == 3
+    assert FORMAT_VERSION == 4
     key_args = ("0" * 64, options_signature(CompileOptions(strategy=Strategy.CB)))
     store = ArtifactStore(tmp_path)
     with monkeypatch.context() as patch:
@@ -256,8 +256,6 @@ def test_options_signature_covers_cache_relevant_fields():
         CompileOptions(partitioner="exact"),
         CompileOptions(interrupt_safe=False),
         CompileOptions(software_pipelining=True),
-        CompileOptions(optimize=True),
-        CompileOptions(unroll_factor=4),
     ]
     signatures = [options_signature(options) for options in changed]
     assert all(signature != base for signature in signatures)
@@ -293,18 +291,18 @@ def test_profile_counts_key_the_entry():
     assert bare != profiled
 
 
-#: store entry id of a fixed ``CB_PROFILE`` compile key at format 3.
+#: store entry id of a fixed ``CB_PROFILE`` compile key at format 4.
 #: The key shape is the one stores used before the memory tier keyed
 #: compiles by their full options signature; a format bump changes the
 #: id on purpose (old entries must miss), any other key refactor that
 #: changes it would orphan every existing store
 STABLE_PROFILE_ENTRY = (
-    "c6488bca065d697c5237fe075250d8afc89a6f378aad0df2de549f4e50c781ea"
+    "bcd587c0c417a871b85f161d5cb251ae36f74cf793396a336dcc9c7928f0fda9"
 )
 
 
 def test_persistent_key_shape_is_stable():
-    assert FORMAT_VERSION == 3
+    assert FORMAT_VERSION == 4
     signature = options_signature(CompileOptions(strategy=Strategy.CB_PROFILE))
     memory_key = ("0" * 64, signature, (("b0", 3),))
     persistent = CompileCache.persistent_key(memory_key)
